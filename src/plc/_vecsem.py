@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .syntax import CP, And, Atom, BoxF, BoxI, Dec, Dyn, Formula, Not, Top
 
 
@@ -30,6 +28,8 @@ def grid_truth(
     the truth of phi at instance j under classifier i of model b.  Update
     operators are not supported here.
     """
+    import numpy as np  # deferred: processes that never evaluate a grid skip its import
+
     apos = {a: k for k, a in enumerate(atom_order)}
     nb, m, n = tables.shape
     vals = np.ascontiguousarray(np.transpose(tables, (0, 2, 1)))  # (nb, n, m)

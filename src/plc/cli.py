@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = query answered (even FALSE/UNSAT), 1 = usage error,
-2 = malformed input, 3 = search or rewrite ran out of budget.
+2 = malformed input (including a formula nested too deeply),
+3 = search or rewrite ran out of budget.
 Reports are plain text, one result per line, tab-separated fields.
 """
 
@@ -238,6 +239,10 @@ def main(argv=None) -> int:
     except BudgetExceeded:
         print("RESOURCE-OUT")
         return 3
+    except RecursionError:
+        # the parser, printer and rewriters recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

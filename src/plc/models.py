@@ -9,12 +9,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import _vecsem
 from .syntax import (
     Formula,
     Signature,
+    Term,
     big_and,
     is_static,
     validate_formula,
@@ -88,10 +87,11 @@ class ClassifierFn:
 class MCM:
     """A set of input instances together with a set of candidate classifiers.
 
-    States are sorted by their atom bitmask and functions by (name, table);
-    models are immutable after construction.  An empty function set is legal
-    only with the `inconsistent` marker, which knowledge updates produce when
-    every classifier is discarded; checking against such a model is an error.
+    States are sorted by their atom bitmask (kept in `state_masks`) and
+    functions by (name, table); models are immutable after construction.  An
+    empty function set is legal only with the `inconsistent` marker, which
+    knowledge updates produce when every classifier is discarded; checking
+    against such a model is an error.
     """
 
     def __init__(
@@ -108,9 +108,11 @@ class MCM:
         for s in sts:
             for a in s:
                 sig.atom_index(a)
-        if len(set(sts)) != len(sts):
+        masks = {s: state_mask(sig, s) for s in sts}
+        if len(masks) != len(sts):
             raise ModelError("duplicate states")
-        self.states: tuple[State, ...] = tuple(sorted(sts, key=lambda s: state_mask(sig, s)))
+        self.states: tuple[State, ...] = tuple(sorted(sts, key=masks.__getitem__))
+        self.state_masks: tuple[int, ...] = tuple(masks[s] for s in self.states)
         fns = list(functions)
         if not fns and not inconsistent:
             raise ModelError("classifier set must be nonempty")
@@ -133,6 +135,7 @@ class MCM:
         )
         self.inconsistent = inconsistent
         self._ext_cache: dict[Formula, int] = {}
+        self._term_cache: dict[tuple[int, int], Term] = {}  # explain's terms by (pos, neg) mask
         self._key_cache: tuple | None = None
 
     def key(self) -> tuple:
@@ -141,7 +144,7 @@ class MCM:
             self._key_cache = (
                 self.sig.atoms,
                 self.sig.values,
-                tuple(state_mask(self.sig, s) for s in self.states),
+                self.state_masks,
                 tuple((f.name, f.items()) for f in self.functions),
                 self.inconsistent,
             )
@@ -216,6 +219,8 @@ def build_mcm(
     sts = all_states(sig) if states == "all" else [frozenset(s) for s in states]
     if functions is not None:
         return MCM(sig, sts, functions)
+
+    import numpy as np
 
     from .parser import parse_formula
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-import numpy as np
-
 from ._vecsem import grid_truth
 from .config import BudgetExceeded, BudgetMeter, search_budget
 from .models import (
@@ -102,6 +100,8 @@ _TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 def _all_tables(nvals: int, nstates: int) -> np.ndarray:
     """All value assignments over `nstates` states, lexicographic, (nt, nstates)."""
+    import numpy as np
+
     key = (nvals, nstates)
     hit = _TABLE_CACHE.get(key)
     if hit is None:
@@ -128,6 +128,8 @@ def sat_finite(
     brute-force oracle, overridable via max_functions).  The returned witness
     is the least in that enumeration order.
     """
+    import numpy as np
+
     _require_static(phi)
     validate_formula(phi, sig)
     phi_s = simplify(phi)
@@ -440,6 +442,8 @@ def sat_open(
     instance column (the fresh atoms restore functionality, turning the found
     quasi model into a genuine multi-classifier model), or None for UNSAT.
     """
+    import numpy as np
+
     _require_static(phi)
     values = tuple(values)
     missing = dec_values_of(phi) - set(values)

@@ -237,3 +237,30 @@ def test_reports_are_byte_identical_across_runs(capsys, ex_file):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_explain_resource_out(capsys, ex_file, monkeypatch):
+    monkeypatch.setenv("PLC_NODE_BUDGET", "10")
+    code, out, _ = run(capsys, "explain", "-m", ex_file, "--kind", "pimp")
+    assert code == 3 and out.strip() == "RESOURCE-OUT"
+
+
+def test_deep_nesting_is_malformed_input(capsys):
+    code, out, err = run(capsys, "reduce", "--atoms", "p", "--vals", "0,1", "-f", "~" * 2000 + "p")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: formula nested too deeply"
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported by the first grid search, not by `import plc`
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import plc
+
+    src = str(Path(plc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, plc, plc.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

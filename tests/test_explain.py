@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from plc import (
+    BudgetExceeded,
     ClassifierFn,
     MCM,
     Signature,
@@ -21,7 +24,9 @@ from plc import (
     subpimp_formula,
 )
 from plc.models import PointedMCM
+from plc.semantics import extension_mask
 
+import plc.explain
 import helpers
 
 
@@ -207,3 +212,77 @@ def test_axp_existence_and_mutual_exclusion():
                 for term in all_terms(m.sig):
                     hits = [v for v in m.sig.values if check_axp(pt, term, v)]
                     assert len(hits) <= 1
+
+
+# (atoms, values, full state set, classifiers) of the enumeration oracle models
+ENUMERATION_CASES = [
+    (("p", "q", "r"), ("0", "1"), True, 1),
+    (("p", "q", "r"), ("0", "1", "2"), False, 5),
+    (("p", "q", "r", "s"), ("0", "1"), False, 3),
+    (("p", "q", "r", "s"), ("0", "1", "2"), True, 2),
+    (("p", "q", "r", "s", "t"), ("0", "1"), True, 4),
+    (("p", "q", "r", "s", "t"), ("0", "1", "2"), False, 1),
+]
+
+
+@pytest.mark.parametrize("atoms,values,full,nfns", ENUMERATION_CASES)
+def test_enumerations_equal_the_formula_filters(atoms, values, full, nfns):
+    """Each enumeration lists exactly the terms whose defining formula holds
+    at the point, in all_terms order, at every point of the model."""
+    rng = random.Random(f"{atoms}/{values}/{full}/{nfns}")
+    sig = Signature(atoms, values)
+    states = all_states(sig)
+    if not full:
+        states = rng.sample(states, rng.randint(2, len(states) - 1))
+    tables = set()
+    while len(tables) < nfns:
+        tables.add(tuple(rng.choice(values) for _ in states))
+    fns = [ClassifierFn(f"f{i}", dict(zip(states, row))) for i, row in enumerate(sorted(tables))]
+    m = MCM(sig, states, fns)
+    terms = list(all_terms(sig))
+    # extension_mask holds the truth at point (si, fi) in bit si * nf + fi
+    ext = {
+        (formula, v): [extension_mask(m, formula(t, v, sig)) for t in terms]
+        for formula in (axp_formula, pimp_formula, subaxp_formula, subpimp_formula)
+        for v in values
+    }
+    nf = len(m.functions)
+    for si, s in enumerate(m.states):
+        for fi, f in enumerate(m.functions):
+            pt = PointedMCM(m, s, f)
+
+            def holding(formula):
+                masks = ext[formula, f(s)]
+                return [t for t, mask in zip(terms, masks) if mask >> (si * nf + fi) & 1]
+
+            assert enumerate_axps(pt) == holding(axp_formula)
+            assert enumerate_pimps(pt) == holding(pimp_formula)
+            assert enumerate_subjective(pt, "axp") == holding(subaxp_formula)
+            assert enumerate_subjective(pt, "pimp") == holding(subpimp_formula)
+
+
+def test_check_pimp_drops_literals_in_atom_order(monkeypatch):
+    # both one-literal weakenings of q & p are implicants of a constant
+    # classifier; the first one tried, and the last check made, drops the
+    # first atom of the signature
+    sig = Signature(("q", "p"), ("0", "1"))
+    f = ClassifierFn("c", {s: "1" for s in all_states(sig)})
+    m = MCM(sig, all_states(sig), [f])
+    tried = []
+    core = plc.explain._covers_none
+
+    def recording(pos, neg, masks):
+        tried.append((pos, neg))
+        return core(pos, neg, masks)
+
+    monkeypatch.setattr(plc.explain, "_covers_none", recording)
+    assert not check_pimp(m, f, T(("q", "p")), "1")
+    assert tried[-2:] == [(0b11, 0), (0b10, 0)]
+
+
+def test_enumerations_draw_on_the_search_budget(monkeypatch, ex_model, ex_f1, s1):
+    monkeypatch.setenv("PLC_NODE_BUDGET", "10")
+    pt = PointedMCM(ex_model, s1, ex_f1)
+    for enumerate_ in (enumerate_pimps, enumerate_axps, lambda p: enumerate_subjective(p, "pimp")):
+        with pytest.raises(BudgetExceeded):
+            enumerate_(pt)
