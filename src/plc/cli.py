@@ -2,7 +2,8 @@
 
 Exit codes: 0 = query answered (even FALSE/UNSAT), 1 = usage error,
 2 = malformed input (including a formula nested too deeply),
-3 = search or rewrite ran out of budget.
+3 = search or rewrite ran out of budget, 4 = internal error (a failed
+self-check).
 Reports are plain text, one result per line, tab-separated fields.
 """
 
@@ -243,6 +244,9 @@ def main(argv=None) -> int:
         # the parser, printer and rewriters recurse once per nesting level
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {str(exc).removeprefix('internal error: ')}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

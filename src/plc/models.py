@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import _vecsem
+from .semantics import extension_mask
 from .syntax import (
     Formula,
     Signature,
@@ -139,7 +140,7 @@ class MCM:
         self._key_cache: tuple | None = None
 
     def key(self) -> tuple:
-        """Canonical structural key (used for memoizing updates)."""
+        """Canonical structural key (equality and hashing)."""
         if self._key_cache is None:
             self._key_cache = (
                 self.sig.atoms,
@@ -264,38 +265,21 @@ def build_mcm(
     return MCM(sig, sts_sorted, kept)
 
 
-_UPDATE_MEMO: dict[tuple, MCM] = {}
-_UPDATE_MEMO_CAP = 8192
-
-
 def update_mcm(mcm: MCM, phi: Formula) -> MCM:
     """Discard every classifier that does not globally satisfy phi.
 
     The constraint is evaluated in the original model; the state set is
     unchanged.  If nothing survives, the result carries the
-    inconsistent-knowledge marker instead of being rejected.
+    inconsistent-knowledge marker instead of being rejected.  Model checking
+    does not call this: it evaluates `[! phi] psi` inside the original grid.
     """
     if mcm.inconsistent:
         raise ModelError("cannot update a model whose classifier set is empty")
-    validate_formula(phi, mcm.sig)
-    key = (mcm.key(), phi)
-    hit = _UPDATE_MEMO.get(key)
-    if hit is not None:
-        return hit
-
-    from .semantics import extension_mask
-
     ext = extension_mask(mcm, phi)
-    ns, nf = len(mcm.states), len(mcm.functions)
-    survivors = []
-    for fi, f in enumerate(mcm.functions):
-        if all(ext >> (si * nf + fi) & 1 for si in range(ns)):
-            survivors.append(f)
-    out = MCM(mcm.sig, mcm.states, survivors, inconsistent=not survivors)
-    if len(_UPDATE_MEMO) >= _UPDATE_MEMO_CAP:
-        _UPDATE_MEMO.clear()
-    _UPDATE_MEMO[key] = out
-    return out
+    nf = len(mcm.functions)
+    col = ((1 << (len(mcm.states) * nf)) - 1) // ((1 << nf) - 1)  # classifier 0's points
+    survivors = [f for fi, f in enumerate(mcm.functions) if ext >> fi & col == col]
+    return MCM(mcm.sig, mcm.states, survivors, inconsistent=not survivors)
 
 
 class QuasiMDM:
@@ -614,36 +598,37 @@ def mdm_to_mcm(M: QuasiMDM) -> tuple[MCM, dict]:
     )
 
     # Quotient 2: merge rows that induce the same function, instance-wise.
-    rows: dict[int, list[int]] = {}
+    # By C2 each row maps input valuations to decisions; two rows are
+    # compatible iff their maps agree wherever both are defined.
+    row_dec: dict[int, dict[State, str]] = {}
+    same_input: dict[State, list[int]] = {}
     for bi in range(n1):
-        rows.setdefault(i1_of[bi], []).append(bi)
-    row_ids = sorted(rows)
+        atoms, dec = val1[bi]
+        row_dec.setdefault(i1_of[bi], {})[atoms] = dec
+        same_input.setdefault(atoms, []).append(bi)
+    compat: dict[tuple[int, int], bool] = {}
 
-    def rows_compatible(ra: int, rb: int) -> bool:
-        for a in rows[ra]:
-            for b in rows[rb]:
-                if val1[a][0] == val1[b][0] and val1[a][1] != val1[b][1]:
-                    return False
-        return True
+    def similar(a: int) -> list[int]:
+        out = []
+        for b in same_input[val1[a][0]]:
+            k = (i1_of[a], i1_of[b])
+            if k not in compat:
+                rb = row_dec[k[1]]
+                compat[k] = all(rb.get(v, d) == d for v, d in row_dec[k[0]].items())
+            if compat[k]:
+                out.append(b)
+        return out
 
-    compat = {
-        (ra, rb): rows_compatible(ra, rb) for ra in row_ids for rb in row_ids
-    }
-    sim_pairs: set[tuple[int, int]] = set()
-    for a in range(n1):
-        for b in range(n1):
-            if val1[a][0] == val1[b][0] and compat[(i1_of[a], i1_of[b])]:
-                sim_pairs.add((a, b))
     # group into classes; verify transitivity of the merge relation
     class_of: dict[int, int] = {}
     classes2: list[list[int]] = []
     for a in range(n1):
         if a in class_of:
             continue
-        members = [b for b in range(n1) if (a, b) in sim_pairs]
+        members = similar(a)
         member_set = set(members)
         for m in members:
-            if {b for b in range(n1) if (m, b) in sim_pairs} != member_set:
+            if set(similar(m)) != member_set:
                 raise ModelError(
                     "duplicate-classifier merge is not an equivalence; "
                     "the model cannot be normalized as a whole"

@@ -125,7 +125,7 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     Updates are pushed innermost-first through negation, conjunction, both
     boxes, atoms and decision atoms; a ceteris-paribus modality in the scope
     is expanded before the push.  Each law application strictly shrinks the
-    scope measure (asserted); the result contains no update node.
+    scope measure (checked); the result contains no update node.
     """
     meter = BudgetMeter(max_nodes or DEFAULT_REWRITE_NODES, "update reduction")
 
@@ -153,8 +153,9 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
             meter.spend(size(expanded))
             return push(ann, expanded)
         else:
-            raise AssertionError(f"update operator in a reduced scope: {scope!r}")
-        assert residual < before, "reduction law failed to shrink the scope measure"
+            raise RuntimeError(f"internal error: update operator in a reduced scope: {scope!r}")
+        if residual >= before:
+            raise RuntimeError("internal error: reduction law failed to shrink the scope measure")
         meter.spend(size(out) if residual == 0 else before)
         return out
 
@@ -174,5 +175,6 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
         return f
 
     out = rec(phi)
-    assert _dyn_scope_total(out) == 0
+    if _dyn_scope_total(out) != 0:
+        raise RuntimeError("internal error: update operator left after reduction")
     return out

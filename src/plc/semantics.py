@@ -1,30 +1,97 @@
 """Pointed model checking over multi-classifier models and decision models.
 
-Evaluation is extension-based: each call computes, bottom-up, the full set of
-points (as a bitmask) where a formula holds, so boxed subformulas cost one
-pass instead of an exponential recursion.  Extensions are cached per model.
+A model is read as a set of points with two partitions: `boxI` ranges over
+an I-block (the points of one classifier) and `boxF` over an F-block (the
+points of one instance).  One bottom-up recursion computes the extension of
+a formula, the bitmask of the points where it holds.  On a multi-classifier
+model the points form a grid (bit si*nf + fi), and an update `[! a] s` is
+evaluated inside it: `s` is evaluated with only the classifier columns where
+`a` holds globally left live, so no updated model is built.  Each model
+caches the extensions of the formulas asked about and of their atoms.
 """
 
 from __future__ import annotations
 
-from .models import MCM, MDM, PointedMCM, QuasiMDM, state_mask, update_mcm
-from .syntax import (
-    CP,
-    And,
-    Atom,
-    BoxF,
-    BoxI,
-    Dec,
-    Dyn,
-    Formula,
-    Not,
-    Top,
-    validate_formula,
-)
+from typing import TYPE_CHECKING, Callable, Iterable
+
+from .syntax import CP, And, Atom, BoxF, BoxI, Dec, Dyn, Formula, Not, Top, validate_formula
+
+if TYPE_CHECKING:
+    from .models import MCM, MDM, PointedMCM, QuasiMDM
 
 
 class EvalError(ValueError):
     """A formula cannot be evaluated against the given model."""
+
+
+def _box(e: int, blocks: Iterable[int]) -> int:
+    """The union of the blocks wholly inside e."""
+    out = 0
+    for b in blocks:
+        if e & b == b:
+            out |= b
+    return out
+
+
+def _extension(
+    phi: Formula,
+    full: int,
+    i_blocks: list[int],
+    f_blocks: list[int],
+    leaf: Callable[[Formula], int],
+    cp_groups: Callable[[tuple[str, ...]], Iterable[int]] | None,
+    cache: dict[Formula, int],
+) -> int:
+    """Bitmask of the points satisfying phi.
+
+    `leaf` computes the mask of an atom or decision atom (raising
+    SignatureError for an undeclared name) and `cache` keeps it.  `cp_groups`
+    maps a ceteris-paribus index set to the unions of F-blocks agreeing on
+    it; without it, ceteris-paribus and update operators raise EvalError.
+    Bits outside the live mask are never read.
+    """
+    memo: dict[tuple[int, int], int] = {}
+
+    def rec(f: Formula, live: int) -> int:
+        key = (id(f), live)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if isinstance(f, (Atom, Dec)):
+            out = cache.get(f)
+            if out is None:
+                out = cache[f] = leaf(f)
+        elif isinstance(f, Top):
+            out = full
+        elif isinstance(f, Not):
+            out = full ^ rec(f.sub, live)
+        elif isinstance(f, And):
+            out = rec(f.left, live) & rec(f.right, live)
+        elif isinstance(f, (CP, Dyn)) and cp_groups is None:
+            raise EvalError(
+                "ceteris-paribus and update operators have no decision-model "
+                "semantics; expand or reduce them first"
+            )
+        elif isinstance(f, BoxI):
+            out = _box(rec(f.sub, live) | (full ^ live), i_blocks)
+        elif isinstance(f, BoxF):
+            out = _box(rec(f.sub, live) | (full ^ live), f_blocks)
+        elif isinstance(f, CP):
+            e = rec(f.sub, live) | (full ^ live)
+            out = 0
+            for g in cp_groups(f.atoms):
+                out |= _box(e, [g & b for b in i_blocks])
+        elif isinstance(f, Dyn):
+            guard = _box(rec(f.announced, live) | (full ^ live), i_blocks) & live
+            # the scope is evaluated even when no classifier survives, so an
+            # undeclared name in it is still reported
+            out = (full ^ guard) | (rec(f.sub, guard) & guard)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[key] = out
+        return out
+
+    return rec(phi, full)
 
 
 def extension_mask(mcm: MCM, phi: Formula) -> int:
@@ -36,93 +103,40 @@ def extension_mask(mcm: MCM, phi: Formula) -> int:
     hit = mcm._ext_cache.get(phi)
     if hit is not None:
         return hit
-    validate_formula(phi, mcm.sig)
+    sig = mcm.sig
     ns, nf = len(mcm.states), len(mcm.functions)
+    row = (1 << nf) - 1
     full = (1 << (ns * nf)) - 1
-    state_row = [((1 << nf) - 1) << (si * nf) for si in range(ns)]
-    fn_col = [
-        sum(1 << (si * nf + fi) for si in range(ns)) for fi in range(nf)
-    ]
-    memo: dict[int, int] = {}
+    col = full // row
 
-    def rec(f: Formula) -> int:
-        got = memo.get(id(f))
-        if got is not None:
-            return got
+    def leaf(f: Formula) -> int:
         if isinstance(f, Atom):
-            out = 0
-            for si, s in enumerate(mcm.states):
-                if f.name in s:
-                    out |= state_row[si]
-        elif isinstance(f, Dec):
-            out = 0
-            for si, s in enumerate(mcm.states):
-                for fi, fn in enumerate(mcm.functions):
-                    if fn(s) == f.value:
-                        out |= 1 << (si * nf + fi)
-        elif isinstance(f, Top):
-            out = full
-        elif isinstance(f, Not):
-            out = full ^ rec(f.sub)
-        elif isinstance(f, And):
-            out = rec(f.left) & rec(f.right)
-        elif isinstance(f, BoxI):
-            e = rec(f.sub)
-            out = 0
-            for col in fn_col:
-                if e & col == col:
-                    out |= col
-        elif isinstance(f, BoxF):
-            e = rec(f.sub)
-            out = 0
-            for row in state_row:
-                if e & row == row:
-                    out |= row
-        elif isinstance(f, CP):
-            e = rec(f.sub)
-            xbits = 0
-            for a in f.atoms:
-                xbits |= 1 << mcm.sig.atom_index(a)
-            groups: dict[int, int] = {}
-            for si, s in enumerate(mcm.states):
-                k = state_mask(mcm.sig, s) & xbits
-                groups[k] = groups.get(k, 0) | state_row[si]
-            out = 0
-            for gmask in groups.values():
-                for col in fn_col:
-                    bits = gmask & col
-                    if e & bits == bits:
-                        out |= bits
-        elif isinstance(f, Dyn):
-            e_ann = rec(f.announced)
-            guard = 0
-            for col in fn_col:
-                if e_ann & col == col:
-                    guard |= col
-            if guard == 0:
-                out = full
-            else:
-                updated = update_mcm(mcm, f.announced)
-                e_sub = extension_mask(updated, f.sub)
-                nf2 = len(updated.functions)
-                fmap = {}
-                for fi, fn in enumerate(mcm.functions):
-                    for fj, fn2 in enumerate(updated.functions):
-                        if fn2 == fn:  # tables are unique within a model
-                            fmap[fi] = fj
-                            break
-                out = full ^ guard
-                for si in range(ns):
-                    for fi in range(nf):
-                        bit = 1 << (si * nf + fi)
-                        if guard & bit and e_sub >> (si * nf2 + fmap[fi]) & 1:
-                            out |= bit
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[id(f)] = out
-        return out
+            i = sig.atom_index(f.name)
+            return sum(row << (si * nf) for si, m in enumerate(mcm.state_masks) if m >> i & 1)
+        sig.require_value(f.value)
+        return sum(
+            1 << (si * nf + fi)
+            for si, s in enumerate(mcm.states)
+            for fi, fn in enumerate(mcm.functions)
+            if fn(s) == f.value
+        )
 
-    result = rec(phi)
+    def cp_groups(atoms: tuple[str, ...]) -> Iterable[int]:
+        xbits = sum(1 << sig.atom_index(a) for a in atoms)
+        groups: dict[int, int] = {}
+        for si, m in enumerate(mcm.state_masks):
+            groups[m & xbits] = groups.get(m & xbits, 0) | row << (si * nf)
+        return groups.values()
+
+    result = _extension(
+        phi,
+        full,
+        [col << fi for fi in range(nf)],
+        [row << (si * nf) for si in range(ns)],
+        leaf,
+        cp_groups,
+        mcm._ext_cache,
+    )
     mcm._ext_cache[phi] = result
     return result
 
@@ -150,51 +164,29 @@ def mdm_extension_mask(M: QuasiMDM, phi: Formula) -> int:
     hit = M._ext_cache.get(phi)
     if hit is not None:
         return hit
-    validate_formula(phi, M.sig)
-    n = len(M.worlds)
-    full = (1 << n) - 1
+    sig = M.sig
     pos = {w: i for i, w in enumerate(M.worlds)}
-    i_blocks = [sum(1 << pos[w] for w in b) for b in M.rel_i]
-    f_blocks = [sum(1 << pos[w] for w in b) for b in M.rel_f]
-    memo: dict[int, int] = {}
 
-    def rec(f: Formula) -> int:
-        got = memo.get(id(f))
-        if got is not None:
-            return got
+    def leaf(f: Formula) -> int:
         if isinstance(f, Atom):
-            out = sum(1 << pos[w] for w in M.worlds if f.name in M.atoms_val(w))
-        elif isinstance(f, Dec):
-            out = sum(1 << pos[w] for w in M.worlds if M.dec_val(w) == f.value)
-        elif isinstance(f, Top):
-            out = full
-        elif isinstance(f, Not):
-            out = full ^ rec(f.sub)
-        elif isinstance(f, And):
-            out = rec(f.left) & rec(f.right)
-        elif isinstance(f, BoxI):
-            e = rec(f.sub)
-            out = 0
-            for b in i_blocks:
-                if e & b == b:
-                    out |= b
-        elif isinstance(f, BoxF):
-            e = rec(f.sub)
-            out = 0
-            for b in f_blocks:
-                if e & b == b:
-                    out |= b
-        elif isinstance(f, (CP, Dyn)):
-            raise EvalError(
-                "ceteris-paribus and update operators have no decision-model "
-                "semantics; expand or reduce them first"
-            )
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        memo[id(f)] = out
-        return out
+            sig.atom_index(f.name)
+            return sum(1 << i for i, w in enumerate(M.worlds) if f.name in M.atoms_val(w))
+        sig.require_value(f.value)
+        return sum(1 << i for i, w in enumerate(M.worlds) if M.dec_val(w) == f.value)
 
-    result = rec(phi)
+    try:
+        result = _extension(
+            phi,
+            (1 << len(M.worlds)) - 1,
+            [sum(1 << pos[w] for w in b) for b in M.rel_i],
+            [sum(1 << pos[w] for w in b) for b in M.rel_f],
+            leaf,
+            None,
+            M._ext_cache,
+        )
+    except EvalError:
+        validate_formula(phi, sig)  # an undeclared name outranks the rejection
+        raise
     M._ext_cache[phi] = result
     return result
 

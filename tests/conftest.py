@@ -7,9 +7,16 @@ monotone under adding features, and anonymity violations are rejected.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from plc import MCM, ClassifierFn, Signature, build_mcm
+
+# the tests that start `python -m plc.cli` need the package in the child too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 EX_ATOMS = ("si", "or", "cl", "an")

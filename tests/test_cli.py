@@ -251,6 +251,18 @@ def test_deep_nesting_is_malformed_input(capsys):
     assert err.strip() == "error: formula nested too deeply"
 
 
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    import plc.cli
+
+    def broken(args):
+        raise RuntimeError("self-check failed")
+
+    monkeypatch.setitem(plc.cli._COMMANDS, "reduce", broken)
+    code, out, err = run(capsys, "reduce", "--atoms", "p", "--vals", "0,1", "-f", "p")
+    assert code == 4 and out == ""
+    assert err.strip() == "internal error: self-check failed"
+
 def test_import_leaves_numpy_unloaded():
     # numpy is imported by the first grid search, not by `import plc`
     import os

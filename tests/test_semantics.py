@@ -191,3 +191,56 @@ def test_dynamic_clause_on_mcm():
                 if guard:
                     want = check_mcm(PointedMCM(updated, s, f), body)
                 assert check_mcm(pt, phi) == want
+
+
+def test_undeclared_atom_is_reported_wherever_it_occurs():
+    from plc import ClassifierFn, MCM, SignatureError
+
+    sig = Signature(("p",), ("0", "1"))
+    f = ClassifierFn("f", {frozenset(): "0", frozenset({"p"}): "1"})
+    m = MCM(sig, helpers.all_states(sig), [f])
+    pt = m.point(frozenset(), "f")
+    # the scope of an update that no classifier survives
+    with pytest.raises(SignatureError):
+        check_mcm(pt, Dyn(parse_formula("=0 & =1", sig), Atom("zz")))
+    # only in a ceteris-paribus index set
+    with pytest.raises(SignatureError):
+        check_mcm(pt, CP(("zz",), Atom("p")))
+    # inside a ceteris-paribus formula, which a decision model rejects
+    M = mcm_to_mdm(m)
+    with pytest.raises(SignatureError):
+        check_mdm(M, M.worlds[0], CP(("p",), Atom("zz")))
+
+
+
+def _check_updated(m, s, f, phi):
+    """Truth of a static phi at (s, f) in a model f may have left."""
+    return f not in set(m.functions) or check_mcm(PointedMCM(m, s, f), phi)
+
+
+def test_nested_updates_agree_with_updated_models():
+    from plc import MCM, update_mcm
+
+    rng = random.Random(9)
+    for _ in range(40):
+        m = helpers.random_mcm(rng, max_states=6, max_functions=6)
+        # announcements shaped like observations, so that some classifiers
+        # survive and some do not
+        a, b = (Implies(random_formula(rng, m.sig, 1), Dec(rng.choice(m.sig.values))) for _ in "ab")
+        phi = random_formula(rng, m.sig, 3)
+        m_a = update_mcm(m, a)
+        # an empty classifier set stays empty under a further update
+        m_ab = m_a if m_a.inconsistent else update_mcm(m_a, b)
+        # where [! a] b holds globally: the classifiers a drops, and those b keeps after it
+        kept = [g for g in m.functions if g not in set(m_a.functions) or g in set(m_ab.functions)]
+        m_dyn = MCM(m.sig, m.states, kept, inconsistent=not kept)
+        for s in m.states:
+            for f in m.functions:
+                pt = PointedMCM(m, s, f)
+                assert check_mcm(pt, Dyn(a, Dyn(b, phi))) == (
+                    f not in set(m_a.functions) or _check_updated(m_ab, s, f, phi)
+                )
+                assert check_mcm(pt, BoxF(Dyn(a, phi))) == all(
+                    _check_updated(m_a, s, g, phi) for g in m.functions
+                )
+                assert check_mcm(pt, Dyn(Dyn(a, b), phi)) == _check_updated(m_dyn, s, f, phi)
