@@ -174,7 +174,10 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
             return push(rec(f.announced), rec(f.sub))
         return f
 
-    out = rec(phi)
+    try:
+        out = rec(phi)
+    finally:
+        del push, rec  # free the self-referencing closures and the meter now
     if _dyn_scope_total(out) != 0:
         raise RuntimeError("internal error: update operator left after reduction")
     return out

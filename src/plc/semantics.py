@@ -91,7 +91,13 @@ def _extension(
         memo[key] = out
         return out
 
-    return rec(phi, full)
+    try:
+        return rec(phi, full)
+    finally:
+        # rec refers to itself through its closure; breaking that cycle frees
+        # the memo and the model the leaf closes over now, not at the next
+        # run of the cyclic garbage collector
+        del rec
 
 
 def extension_mask(mcm: MCM, phi: Formula) -> int:

@@ -244,3 +244,27 @@ def test_nested_updates_agree_with_updated_models():
                     _check_updated(m_a, s, g, phi) for g in m.functions
                 )
                 assert check_mcm(pt, Dyn(Dyn(a, b), phi)) == _check_updated(m_dyn, s, f, phi)
+
+
+def test_update_evaluation_leaves_no_cyclic_garbage():
+    import gc
+
+    from plc import MCM
+    from plc.rewrite import reduce_dynamic
+    from plc.semantics import extension_mask
+
+    rng = random.Random(3)
+    m = helpers.random_mcm(rng, max_states=6, max_functions=6)
+    a = Implies(random_formula(rng, m.sig, 1), Dec(m.sig.values[0]))
+    phi = Dyn(a, BoxF(Dyn(a, random_formula(rng, m.sig, 2))))
+    gc.collect()
+    gc.disable()
+    try:
+        # a fresh model each time, so nothing is answered from its cache
+        fresh = MCM(m.sig, m.states, m.functions)
+        extension_mask(fresh, phi)
+        extension_mask(fresh, reduce_dynamic(phi))
+        # the evaluator's memo and the model are freed by reference counting
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
