@@ -75,4 +75,7 @@ def grid_truth(
         memo[id(f)] = out
         return out
 
-    return np.broadcast_to(rec(phi), (nb, n, m))
+    try:
+        return np.broadcast_to(rec(phi), (nb, n, m))
+    finally:
+        del rec  # free the self-referencing closure and its memo now

@@ -69,7 +69,10 @@ def simplify(phi: Formula) -> Formula:
         memo[id(f)] = out
         return out
 
-    return rec(phi)
+    try:
+        return rec(phi)
+    finally:
+        del rec  # free the self-referencing closure and its memo now
 
 
 def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
@@ -96,7 +99,10 @@ def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
             return Dyn(rec(f.announced), rec(f.sub))
         return f
 
-    return rec(phi)
+    try:
+        return rec(phi)
+    finally:
+        del rec  # free the self-referencing closure and the meter now
 
 
 def _dyn_scope_total(phi: Formula) -> int:

@@ -3,9 +3,10 @@
 Finite mode fixes the atom stock and searches pointed multi-classifier
 models directly.  Open mode treats the atom stock as unbounded: a
 type-system saturation search decides satisfiability (worlds are quotiented
-by the formulas they satisfy, mirroring filtration), and a grid search over
-quasi decision models produces a concrete witness, which a per-instance
-fresh atom then upgrades to a genuine multi-classifier model.
+by the formulas they satisfy, mirroring filtration), a concrete grid witness
+is read off the coherent family of types it finds, and a per-instance fresh
+atom then upgrades that quasi decision model to a genuine multi-classifier
+model.
 
 Resource exhaustion raises BudgetExceeded; it is never reported as UNSAT.
 """
@@ -95,21 +96,43 @@ def _distinct_nodes(phi: Formula, kind) -> list[Formula]:
     return nodes
 
 
-_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+def _all_tables(nvals: int, nstates: int, meter: BudgetMeter) -> np.ndarray:
+    """All value assignments over `nstates` states, lexicographic, (nt, nstates).
 
-
-def _all_tables(nvals: int, nstates: int) -> np.ndarray:
-    """All value assignments over `nstates` states, lexicographic, (nt, nstates)."""
+    Raises BudgetExceeded, spending nothing, when the table has more cells
+    than the meter has units left.
+    """
     import numpy as np
 
-    key = (nvals, nstates)
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        hit = np.asarray(
-            list(itertools.product(range(nvals), repeat=nstates)), dtype=np.int8
-        ).reshape(nvals**nstates, nstates)
-        _TABLE_CACHE[key] = hit
-    return hit
+    nt = nvals**nstates
+    if nt * nstates > meter.cap - meter.used:
+        raise BudgetExceeded(
+            f"{meter.what} cannot fit the {nt} tables over {nstates} states in its node budget"
+        )
+    digits = nvals ** np.arange(nstates - 1, -1, -1)
+    return (np.arange(nt)[:, None] // digits % nvals).astype(np.int8)
+
+
+def _grid_witness(
+    mode: str,
+    phi: Formula,
+    sig: Signature,
+    states: list,
+    table: Sequence[Sequence[int]],
+    point: tuple[int, int],
+    quasi: QuasiMDM | None = None,
+) -> Witness:
+    """The witness at `point` = (i, j): classifier f{i} at states[j], in the
+    model whose classifier f{i} outputs sig.values[table[i][j]] at states[j].
+    A quasi model's worlds are the same (i, j) pairs."""
+    fns = [
+        ClassifierFn(f"f{i}", {s: sig.values[x] for s, x in zip(states, row)})
+        for i, row in enumerate(table)
+    ]
+    model = MCM(sig, states, fns)
+    i, j = point
+    fn = model.function_named(f"f{i}")
+    return Witness(mode, model, states[j], fn, phi, quasi, None if quasi is None else point)
 
 
 def sat_finite(
@@ -137,10 +160,13 @@ def sat_finite(
     meter = BudgetMeter(search_budget(budget))
     nvals = len(sig.values)
     universe = 1 << len(sig.atoms)
+    tables_by_size: dict[int, np.ndarray] = {}
     for smask in range(1, 1 << universe):
         cols = [u for u in range(universe) if smask >> u & 1]
         ns = len(cols)
-        tables = _all_tables(nvals, ns)
+        tables = tables_by_size.get(ns)
+        if tables is None:
+            tables = tables_by_size[ns] = _all_tables(nvals, ns, meter)
         nt = len(tables)
         for fam_size in range(1, min(k, nt) + 1):
             combos = itertools.combinations(range(nt), fam_size)
@@ -155,21 +181,7 @@ def sat_finite(
                 if hits.size:
                     b, j, i = (int(x) for x in hits[0])
                     states = [mask_state(sig, m) for m in cols]
-                    fns = [
-                        ClassifierFn(
-                            f"f{r}",
-                            {s: sig.values[batch[b, r, jj]] for jj, s in enumerate(states)},
-                        )
-                        for r in range(fam_size)
-                    ]
-                    model = MCM(sig, states, fns)
-                    return Witness(
-                        "finite",
-                        model,
-                        states[j],
-                        model.function_named(f"f{i}"),
-                        phi,
-                    )
+                    return _grid_witness("finite", phi, sig, states, batch[b].tolist(), (i, j))
     return None
 
 
@@ -219,21 +231,7 @@ def brute_force_sat(
                 if hit is not None:
                     j, i = hit
                     states = [mask_state(sig, m) for m in cols]
-                    fns = [
-                        ClassifierFn(
-                            f"f{r}",
-                            {s: sig.values[family[r][jj]] for jj, s in enumerate(states)},
-                        )
-                        for r in range(fam_size)
-                    ]
-                    model = MCM(sig, states, fns)
-                    return Witness(
-                        "finite",
-                        model,
-                        states[j],
-                        model.function_named(f"f{i}"),
-                        phi,
-                    )
+                    return _grid_witness("finite", phi, sig, states, family, (i, j))
     return None
 
 
@@ -281,18 +279,17 @@ def _oracle_search_points(phi, apos, values, cols, rows) -> tuple[int, int] | No
     return None
 
 
-# Open mode: type-system decision plus grid witness search.
+# Open mode: a type-system decision whose solution is read off as a grid witness.
 
 
-def _subsets(items: list) -> list[frozenset]:
-    out = []
-    for r in range(len(items) + 1):
-        for combo in itertools.combinations(range(len(items)), r):
-            out.append(frozenset(items[c] for c in combo))
-    return out
+def _subsets(bits: list[int]) -> list[int]:
+    """Every union of the given bits, by size, then in combination order."""
+    return [sum(c) for r in range(len(bits) + 1) for c in itertools.combinations(bits, r)]
 
 
-def _system_satisfiable(phi: Formula, atoms: tuple[str, ...], values: tuple[str, ...], meter: BudgetMeter) -> bool:
+def _system_satisfiable(
+    phi: Formula, atoms: tuple[str, ...], values: tuple[str, ...], meter: BudgetMeter
+) -> tuple[list[int], list[list[list[tuple[int, bool]]]]] | None:
     """Decide satisfiability over unboundedly many atoms by searching for a
     coherent system of classifier-row types and instance-column types.
 
@@ -303,71 +300,89 @@ def _system_satisfiable(phi: Formula, atoms: tuple[str, ...], values: tuple[str,
     compatible family fulfilling every diamond obligation, seeded with a cell
     satisfying the target formula.  UNSAT is definitive: the types realized
     by any satisfying model form such a family.
+
+    Returns the family found as (masks, cells): masks[c] is the atom
+    valuation of column type c, and cells[r][c] lists the admissible
+    (value index, truth of phi) pairs of row type r and column type c in
+    value order.  None means UNSAT.
     """
     sf = sorted(subformulas(phi), key=lambda f: (size(f), render_formula(f)))
-    boxi = [f for f in sf if isinstance(f, BoxI)]
-    boxf = [f for f in sf if isinstance(f, BoxF)]
-    apos = {a: i for i, a in enumerate(atoms)}
-    rows = _subsets(boxi)
+    pos = {f: p for p, f in enumerate(sf)}
+    # A cell's truths are a bitmask over positions in sf.  The types fix the
+    # boxes, the column the atoms and the value the decision atoms; children
+    # sort before their parents, so one pass over `ops` settles the rest.
+    atom_bits = [0] * len(atoms)
+    value_bits = [0] * len(values)
+    top_bits = 0
+    ops: list[tuple[int, int, int]] = []  # (position, child, right child or -1 for a negation)
+    boxi: list[int] = []
+    boxf: list[int] = []
+    arg: dict[int, int] = {}  # box position -> bit of its argument
+    for p, f in enumerate(sf):
+        if isinstance(f, Atom):
+            atom_bits[atoms.index(f.name)] |= 1 << p
+        elif isinstance(f, Dec):
+            value_bits[values.index(f.value)] |= 1 << p
+        elif isinstance(f, Top):
+            top_bits |= 1 << p
+        elif isinstance(f, Not):
+            ops.append((p, pos[f.sub], -1))
+        elif isinstance(f, And):
+            ops.append((p, pos[f.left], pos[f.right]))
+        elif isinstance(f, (BoxI, BoxF)):
+            (boxi if isinstance(f, BoxI) else boxf).append(p)
+            arg[p] = 1 << pos[f.sub]
+        else:
+            raise AssertionError("type search needs an expanded static formula")
+    rows = _subsets([1 << b for b in boxi])
     cols = [
-        (mask, fset)
+        (mask, fbits)
         for mask in range(1 << len(atoms))
-        for fset in _subsets(boxf)
+        for fbits in _subsets([1 << b for b in boxf])
     ]
     nvals = len(values)
     meter.spend(len(rows) * len(cols) * nvals * len(sf))
 
-    def cell_truths(r: frozenset, cmask: int, cf: frozenset, xi: int):
-        t: dict[Formula, bool] = {}
-        for f in sf:
-            if isinstance(f, Atom):
-                t[f] = bool(cmask >> apos[f.name] & 1)
-            elif isinstance(f, Dec):
-                t[f] = values[xi] == f.value
-            elif isinstance(f, Top):
-                t[f] = True
-            elif isinstance(f, Not):
-                t[f] = not t[f.sub]
-            elif isinstance(f, And):
-                t[f] = t[f.left] and t[f.right]
-            elif isinstance(f, BoxI):
-                t[f] = f in r
-            elif isinstance(f, BoxF):
-                t[f] = f in cf
-            else:
-                raise AssertionError("type search needs an expanded static formula")
-        for b in r:
-            if not t[b.sub]:
-                return None
-        for b in cf:
-            if not t[b.sub]:
-                return None
-        return t
+    def required(bits: int) -> int:
+        """The arguments of the boxes in `bits`, which a cell must make true;
+        the boxes are all of one kind, so their arguments are distinct."""
+        return sum(a for b, a in arg.items() if bits >> b & 1)
 
-    cells: dict[tuple[int, int], list[tuple[int, dict]]] = {}
-    for ri, r in enumerate(rows):
-        for ci, (cmask, cf) in enumerate(cols):
+    row_req = [required(r) for r in rows]
+    col_req = [required(fbits) for _, fbits in cols]
+    col_fixed = [
+        fbits | top_bits | sum(ab for a, ab in enumerate(atom_bits) if cmask >> a & 1)
+        for cmask, fbits in cols
+    ]
+
+    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for ri, rbits in enumerate(rows):
+        for ci in range(len(cols)):
+            req = row_req[ri] | col_req[ci]
             valid = []
             for xi in range(nvals):
-                t = cell_truths(r, cmask, cf, xi)
-                if t is not None:
+                t = rbits | col_fixed[ci] | value_bits[xi]
+                for p, a, b in ops:
+                    if (t >> a & t >> b & 1) if b >= 0 else not t >> a & 1:
+                        t |= 1 << p
+                if t & req == req:
                     valid.append((xi, t))
             if valid:
                 cells[(ri, ci)] = valid
 
-    def refutes(ri: int, ci: int, target: Formula) -> bool:
-        return any(not t[target] for _, t in cells.get((ri, ci), []))
+    def refutes(ri: int, ci: int, target: int) -> bool:
+        return any(not t & target for _, t in cells.get((ri, ci), []))
 
     failed: set[tuple[frozenset, frozenset]] = set()
 
-    def solve(rset: frozenset, cset: frozenset) -> bool:
+    def solve(rset: frozenset, cset: frozenset) -> tuple[frozenset, frozenset] | None:
         meter.spend(1)
         obligation = None
         for ri in sorted(rset):
             for b in boxi:
-                if b in rows[ri]:
+                if rows[ri] >> b & 1:
                     continue
-                if not any(refutes(ri, ci, b.sub) for ci in sorted(cset)):
+                if not any(refutes(ri, ci, arg[b]) for ci in sorted(cset)):
                     obligation = ("row", ri, b)
                     break
             if obligation:
@@ -375,47 +390,56 @@ def _system_satisfiable(phi: Formula, atoms: tuple[str, ...], values: tuple[str,
         if obligation is None:
             for ci in sorted(cset):
                 for b in boxf:
-                    if b in cols[ci][1]:
+                    if cols[ci][1] >> b & 1:
                         continue
-                    if not any(refutes(ri, ci, b.sub) for ri in sorted(rset)):
+                    if not any(refutes(ri, ci, arg[b]) for ri in sorted(rset)):
                         obligation = ("col", ci, b)
                         break
                 if obligation:
                     break
         if obligation is None:
-            return True
+            return rset, cset
         if (rset, cset) in failed:
-            return False
+            return None
         kind, who, b = obligation
         if kind == "row":
             for ci in range(len(cols)):
                 if ci in cset:
                     continue
-                if not refutes(who, ci, b.sub):
+                if not refutes(who, ci, arg[b]):
                     continue
                 if all((ri, ci) in cells for ri in rset):
-                    if solve(rset, cset | {ci}):
-                        return True
+                    got = solve(rset, cset | {ci})
+                    if got:
+                        return got
         else:
             for ri in range(len(rows)):
                 if ri in rset:
                     continue
-                if not refutes(ri, who, b.sub):
+                if not refutes(ri, who, arg[b]):
                     continue
                 if all((ri, ci) in cells for ci in cset):
-                    if solve(rset | {ri}, cset):
-                        return True
+                    got = solve(rset | {ri}, cset)
+                    if got:
+                        return got
         failed.add((rset, cset))
-        return False
+        return None
 
-    for ri in range(len(rows)):
-        for ci in range(len(cols)):
-            for xi, t in cells.get((ri, ci), []):
-                if t[phi]:
-                    if solve(frozenset([ri]), frozenset([ci])):
-                        return True
-                    break  # other cell values at this pair satisfy phi or not; pair failed
-    return False
+    phi_bit = 1 << pos[phi]
+    try:
+        for ri in range(len(rows)):
+            for ci in range(len(cols)):
+                # solve does not depend on the value, so one seed per pair
+                if any(t & phi_bit for _, t in cells.get((ri, ci), [])):
+                    got = solve(frozenset([ri]), frozenset([ci]))
+                    if got:
+                        rs, cs = sorted(got[0]), sorted(got[1])
+                        return [cols[c][0] for c in cs], [
+                            [[(xi, bool(t & phi_bit)) for xi, t in cells[(r, c)]] for c in cs] for r in rs
+                        ]
+        return None
+    finally:
+        del solve, refutes  # free the self-referencing closures and the cells now
 
 
 def _fresh_names(taken: set[str], count: int) -> list[str]:
@@ -434,72 +458,39 @@ def sat_open(
     values: Sequence[str],
     *,
     budget: int | None = None,
-    max_worlds: int | None = None,
 ) -> Witness | None:
     """Satisfiability when the atom stock is unbounded beyond the formula.
 
     Returns a witness over the formula's atoms plus one fresh atom per
-    instance column (the fresh atoms restore functionality, turning the found
-    quasi model into a genuine multi-classifier model), or None for UNSAT.
+    instance column (the fresh atoms restore functionality, turning the
+    quasi model read off the type search into a genuine multi-classifier
+    model), or None for UNSAT.
     """
-    import numpy as np
-
     _require_static(phi)
     values = tuple(values)
     missing = dec_values_of(phi) - set(values)
     if missing:
         raise EvalError(f"formula mentions undeclared values {sorted(missing)}")
-    phi_s = simplify(phi)
-    atoms = tuple(sorted(atoms_of(phi_s)))
-    meter = BudgetMeter(search_budget(budget))
-    phi_sys = simplify(cp_free(phi_s))
-    if not _system_satisfiable(phi_sys, tuple(sorted(atoms_of(phi_sys))), values, meter):
+    phi_sys = simplify(cp_free(simplify(phi)))
+    atoms = tuple(sorted(atoms_of(phi_sys)))
+    solved = _system_satisfiable(phi_sys, atoms, values, BudgetMeter(search_budget(budget)))
+    if solved is None:
         return None
-
-    sf = subformulas(phi_s)
-    sf_plus = len(sf) + sum(1 for v in values if Dec(v) not in sf)
-    t_cap = max_worlds if max_worlds is not None else 1 << min(sf_plus, 30)
-    nvals = len(values)
-    nmask = 1 << len(atoms)
-    for total in range(1, t_cap + 1):
-        for m in range(1, total + 1):
-            if total % m:
-                continue
-            n = total // m
-            row_pow = (nvals ** np.arange(n - 1, -1, -1)).reshape(1, 1, n)
-            col_pow = (nvals ** np.arange(m - 1, -1, -1)).reshape(1, m, 1)
-            for masks in itertools.combinations_with_replacement(range(nmask), n):
-                gen = itertools.product(range(nvals), repeat=m * n)
-                while True:
-                    chunk = list(itertools.islice(gen, _CHUNK))
-                    if not chunk:
-                        break
-                    batch = np.asarray(chunk, dtype=np.int8).reshape(-1, m, n)
-                    meter.spend(batch.shape[0] * m * n)
-                    keep = np.ones(batch.shape[0], bool)
-                    if m > 1:
-                        row_codes = (batch * row_pow).sum(axis=2)
-                        keep &= (np.diff(row_codes, axis=1) > 0).all(axis=1)
-                    col_codes = None
-                    for j in range(n - 1):
-                        if masks[j] == masks[j + 1]:
-                            if col_codes is None:
-                                col_codes = (batch * col_pow).sum(axis=1)
-                            keep &= col_codes[:, j] < col_codes[:, j + 1]
-                    if not keep.any():
-                        continue
-                    batch = batch[keep]
-                    truth = grid_truth(phi_s, atoms, values, masks, batch)
-                    hits = np.argwhere(truth)
-                    if hits.size:
-                        b, j0, i0 = (int(x) for x in hits[0])
-                        return _open_witness(
-                            phi, atoms, values, masks, batch[b], (i0, j0)
-                        )
-    raise BudgetExceeded(
-        "witness search exhausted its world cap although the type analysis "
-        "found the formula satisfiable"
-    )
+    masks, cells = solved
+    # k copies of every row and column type; copy (a, b) of cell (r, c) takes
+    # the admissible value at (a + b) mod |V(r, c)|.  Each row copy then meets
+    # every admissible value of each of its cells, and so does each column
+    # copy: a box false at a type keeps a refuting cell, and a box true at a
+    # type holds at every admissible value.  Merging identical rows changes
+    # no truth value.
+    k = max(len(vs) for row in cells for vs in row)
+    rows: dict[tuple[int, ...], list[bool]] = {}  # value indexes -> truth of phi per column
+    for row in cells:
+        for a in range(k):
+            picks = [vs[(a + b) % len(vs)] for vs in row for b in range(k)]
+            rows.setdefault(tuple(x for x, _ in picks), [t for _, t in picks])
+    point = next((i, j) for i, truth in enumerate(rows.values()) for j, t in enumerate(truth) if t)
+    return _open_witness(phi, atoms, values, [m for m in masks for _ in range(k)], list(rows), point)
 
 
 def _open_witness(
@@ -507,43 +498,23 @@ def _open_witness(
     atoms: tuple[str, ...],
     values: tuple[str, ...],
     masks: Sequence[int],
-    table: np.ndarray,
+    table: list[tuple[int, ...]],
     point: tuple[int, int],
 ) -> Witness:
-    m, n = table.shape
+    m, n = len(table), len(masks)
     base_atoms = tuple(sorted(atoms_of(phi)))
-    qsig = Signature(base_atoms, values)
     grid_sig = Signature(atoms, values)
-
-    def mask_atoms(mask: int) -> frozenset:
-        return frozenset(mask_state(grid_sig, mask))
-
+    col_atoms = [mask_state(grid_sig, mask) for mask in masks]
     worlds = [(i, j) for i in range(m) for j in range(n)]
-    valuation = {
-        (i, j): (mask_atoms(masks[j]), values[int(table[i, j])]) for (i, j) in worlds
-    }
+    valuation = {(i, j): (col_atoms[j], values[table[i][j]]) for (i, j) in worlds}
     rel_i = [frozenset((i, j) for j in range(n)) for i in range(m)]
     rel_f = [frozenset((i, j) for i in range(m)) for j in range(n)]
-    quasi = QuasiMDM(qsig, worlds, valuation, rel_i, rel_f)
+    quasi = QuasiMDM(Signature(base_atoms, values), worlds, valuation, rel_i, rel_f)
 
     fresh = _fresh_names(set(base_atoms), n)
-    sig2 = Signature(base_atoms + tuple(fresh), values)
-    states = [mask_atoms(masks[j]) | {fresh[j]} for j in range(n)]
-    fns = [
-        ClassifierFn(f"f{i}", {states[j]: values[int(table[i, j])] for j in range(n)})
-        for i in range(m)
-    ]
-    model = MCM(sig2, states, fns)
-    i0, j0 = point
-    return Witness(
-        "open",
-        model,
-        states[j0],
-        model.function_named(f"f{i0}"),
-        phi,
-        quasi=quasi,
-        quasi_world=(i0, j0),
-    )
+    states = [col_atoms[j] | {fresh[j]} for j in range(n)]
+    sig = Signature(base_atoms + tuple(fresh), values)
+    return _grid_witness("open", phi, sig, states, table, point, quasi)
 
 
 def filtrate(M: QuasiMDM, phi: Formula, w0) -> tuple[QuasiMDM, dict]:

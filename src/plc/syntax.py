@@ -229,23 +229,22 @@ def subformulas(phi: Formula, plus: bool = False, sig: Signature | None = None) 
     """All subformulas of phi (phi included); with `plus`, also every decision
     atom of the signature."""
     out: set[Formula] = set()
-
-    def walk(f: Formula) -> None:
+    stack = [phi]
+    while stack:
+        f = stack.pop()
         if f in out:
-            return
+            continue
         out.add(f)
         if isinstance(f, Not):
-            walk(f.sub)
+            stack.append(f.sub)
         elif isinstance(f, And):
-            walk(f.left)
-            walk(f.right)
+            stack.append(f.left)
+            stack.append(f.right)
         elif isinstance(f, (BoxI, BoxF, CP)):
-            walk(f.sub)
+            stack.append(f.sub)
         elif isinstance(f, Dyn):
-            walk(f.announced)
-            walk(f.sub)
-
-    walk(phi)
+            stack.append(f.announced)
+            stack.append(f.sub)
     if plus:
         if sig is None:
             raise ValueError("plus=True needs a signature for the decision atoms")

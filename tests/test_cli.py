@@ -264,7 +264,8 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err.strip() == "internal error: self-check failed"
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is imported by the first grid search, not by `import plc`
+    # numpy is imported by the first grid search, not by `import plc`; the
+    # open-mode witness is read off the type search, which runs no grid search
     import os
     import subprocess
     import sys
@@ -274,5 +275,10 @@ def test_import_leaves_numpy_unloaded():
 
     src = str(Path(plc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, plc, plc.cli; sys.exit('numpy' in sys.modules)"
+    code = (
+        "import sys, plc, plc.cli\n"
+        "sig = plc.Signature(('p',), ('0', '1'))\n"
+        "assert plc.sat_open(plc.parse_formula('p & =1 & diaI (p & ~=1)', sig), sig.values)\n"
+        "sys.exit('numpy' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

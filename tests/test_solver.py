@@ -79,6 +79,21 @@ def test_budget_is_a_distinct_answer():
         sat_finite(F2("p & boxF ~p"), SIG2, budget=10)
 
 
+def test_all_tables_are_lexicographic_and_checked_before_allocation():
+    import itertools
+
+    from plc.config import BudgetMeter
+    from plc.solver import _all_tables
+
+    for nvals, ns in ((1, 2), (2, 3), (3, 2), (3, 4)):
+        want = [list(t) for t in itertools.product(range(nvals), repeat=ns)]
+        assert _all_tables(nvals, ns, BudgetMeter(10**6)).tolist() == want
+    meter = BudgetMeter(1000)
+    with pytest.raises(BudgetExceeded):
+        _all_tables(2, 40, meter)  # 2**40 rows: refused before any is built
+    assert meter.used == 0
+
+
 def test_oracle_agrees_with_solver_on_small_corpus():
     # the acceptance suite runs the exhaustive corpus; a random spot check here
     rng = random.Random(2)
@@ -129,6 +144,20 @@ def test_sat_open_examples():
 
     funct = parse_formula("(p & =1) -> boxI (p -> =1)", SIG1)
     assert not valid_in_mcm(w.model, funct)
+
+
+def test_sat_open_finds_the_one_hot_counterexample():
+    # every classifier is one-hot on some full term, some classifier outputs 1
+    # at every instance, and all four instances exist: the smallest model has
+    # four states and four classifiers
+    phi = F2(
+        "boxF (boxI (=1 <-> ~p & ~q) | boxI (=1 <-> ~p & q)"
+        " | boxI (=1 <-> p & ~q) | boxI (=1 <-> p & q))"
+        " & boxI diaF =1 & diaI (~p & ~q) & diaI (~p & q) & diaI (p & ~q) & diaI (p & q)"
+    )
+    w = sat_open(phi, SIG2.values)
+    assert w is not None
+    assert len(w.model.states) >= 4 and len(w.model.functions) >= 4
 
 
 def test_funct_instances_split_the_two_modes():
