@@ -2,9 +2,9 @@
 
 A grid model is a list of instance columns (each an atom-valuation bitmask,
 repetitions allowed) plus a decision matrix assigning one output value to
-every (classifier row, instance column) cell.  Multi-classifier models,
-singleton-classifier builders, and the quasi-model search all evaluate
-through here; the batch axis ranges over candidate decision matrices.
+every (classifier row, instance column) cell.  Only constraint-mode
+`build_mcm` evaluates through here, to filter candidate classifiers; the
+batch axis ranges over candidate decision matrices.
 """
 
 from __future__ import annotations

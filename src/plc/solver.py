@@ -1,12 +1,13 @@
 """Satisfiability and validity engines.
 
-Finite mode fixes the atom stock and searches pointed multi-classifier
-models directly.  Open mode treats the atom stock as unbounded: a
-type-system saturation search decides satisfiability (worlds are quotiented
-by the formulas they satisfy, mirroring filtration), a concrete grid witness
-is read off the coherent family of types it finds, and a per-instance fresh
-atom then upgrades that quasi decision model to a genuine multi-classifier
-model.
+Both modes are decided by one type-system search, `_system_satisfiable`:
+worlds are quotiented by the formulas they satisfy, mirroring filtration,
+and the search looks for a coherent family of classifier-row and
+instance-column types.  Finite mode fixes the atom stock, so a column is one
+state and the witness takes the columns as states.  Open mode treats the
+atom stock as unbounded: a concrete grid witness is read off the family, and
+a per-instance fresh atom then upgrades that quasi decision model to a
+genuine multi-classifier model.
 
 Resource exhaustion raises BudgetExceeded; it is never reported as UNSAT.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from ._vecsem import grid_truth
 from .config import BudgetExceeded, BudgetMeter, search_budget
 from .models import (
     MCM,
@@ -48,8 +48,6 @@ from .syntax import (
     subformulas,
     validate_formula,
 )
-
-_CHUNK = 4096
 
 
 class Witness:
@@ -90,29 +88,6 @@ def _require_static(phi: Formula) -> None:
         raise EvalError("reduce update operators before satisfiability checking")
 
 
-def _distinct_nodes(phi: Formula, kind) -> list[Formula]:
-    nodes = [f for f in subformulas(phi) if isinstance(f, kind)]
-    nodes.sort(key=lambda f: (size(f), render_formula(f)))
-    return nodes
-
-
-def _all_tables(nvals: int, nstates: int, meter: BudgetMeter) -> np.ndarray:
-    """All value assignments over `nstates` states, lexicographic, (nt, nstates).
-
-    Raises BudgetExceeded, spending nothing, when the table has more cells
-    than the meter has units left.
-    """
-    import numpy as np
-
-    nt = nvals**nstates
-    if nt * nstates > meter.cap - meter.used:
-        raise BudgetExceeded(
-            f"{meter.what} cannot fit the {nt} tables over {nstates} states in its node budget"
-        )
-    digits = nvals ** np.arange(nstates - 1, -1, -1)
-    return (np.arange(nt)[:, None] // digits % nvals).astype(np.int8)
-
-
 def _grid_witness(
     mode: str,
     phi: Formula,
@@ -139,61 +114,37 @@ def sat_finite(
     phi: Formula,
     sig: Signature,
     *,
-    max_functions: int | None = None,
     budget: int | None = None,
 ) -> Witness | None:
-    """First satisfying pointed model over the fixed signature, or None.
+    """A satisfying pointed model over the fixed signature, or None.
 
-    Candidate state sets run over the nonempty subsets of the full cube in
-    ascending subset-mask order; candidate classifier families are
-    duplicate-free table combinations of size at most 1 + the number of
-    distinct classifier-box subformulas (a bound validated against the
-    brute-force oracle, overridable via max_functions).  The returned witness
-    is the least in that enumeration order.
+    Decided by the type search of `_system_satisfiable`, in which at most
+    2^(number of signature atoms the formula does not use) states share a
+    valuation of the formula's atoms.  A state is that valuation plus its
+    copy index spelled over the unused atoms.  The witness is the search's
+    first, which is deterministic.
     """
-    import numpy as np
-
     _require_static(phi)
     validate_formula(phi, sig)
-    phi_s = simplify(phi)
-    k = max_functions if max_functions is not None else 1 + len(_distinct_nodes(phi_s, BoxF))
+    phi_sys = simplify(cp_free(simplify(phi)))
+    used = atoms_of(phi_sys)
+    atoms = tuple(a for a in sig.atoms if a in used)
+    spare = tuple(a for a in sig.atoms if a not in used)
     meter = BudgetMeter(search_budget(budget))
-    nvals = len(sig.values)
-    universe = 1 << len(sig.atoms)
-    tables_by_size: dict[int, np.ndarray] = {}
-    for smask in range(1, 1 << universe):
-        cols = [u for u in range(universe) if smask >> u & 1]
-        ns = len(cols)
-        tables = tables_by_size.get(ns)
-        if tables is None:
-            tables = tables_by_size[ns] = _all_tables(nvals, ns, meter)
-        nt = len(tables)
-        for fam_size in range(1, min(k, nt) + 1):
-            combos = itertools.combinations(range(nt), fam_size)
-            while True:
-                idx = list(itertools.islice(combos, _CHUNK))
-                if not idx:
-                    break
-                batch = tables[np.asarray(idx)]  # (nc, fam_size, ns)
-                meter.spend(batch.shape[0] * ns * fam_size)
-                truth = grid_truth(phi_s, sig.atoms, sig.values, cols, batch)
-                hits = np.argwhere(truth)
-                if hits.size:
-                    b, j, i = (int(x) for x in hits[0])
-                    states = [mask_state(sig, m) for m in cols]
-                    return _grid_witness("finite", phi, sig, states, batch[b].tolist(), (i, j))
-    return None
+    solved = _system_satisfiable(phi_sys, atoms, sig.values, meter, copies=1 << len(spare))
+    if solved is None:
+        return None
+    masks, table, point = solved
+    spread, states, seen = Signature(atoms + spare, sig.values), [], {}
+    for m in masks:
+        seen[m] = seen.get(m, -1) + 1
+        states.append(mask_state(spread, m | seen[m] << len(atoms)))
+    return _grid_witness("finite", phi, sig, states, table, point)
 
 
-def valid_finite(
-    phi: Formula,
-    sig: Signature,
-    *,
-    max_functions: int | None = None,
-    budget: int | None = None,
-) -> bool:
+def valid_finite(phi: Formula, sig: Signature, *, budget: int | None = None) -> bool:
     """Validity over every model of the fixed signature."""
-    return sat_finite(Not(phi), sig, max_functions=max_functions, budget=budget) is None
+    return sat_finite(Not(phi), sig, budget=budget) is None
 
 
 def brute_force_sat(
@@ -272,14 +223,17 @@ def _oracle_search_points(phi, apos, values, cols, rows) -> tuple[int, int] | No
         memo[key] = out
         return out
 
-    for j in range(len(cols)):
-        for i in range(len(rows)):
-            if ev(phi, j, i):
-                return (j, i)
-    return None
+    try:
+        for j in range(len(cols)):
+            for i in range(len(rows)):
+                if ev(phi, j, i):
+                    return (j, i)
+        return None
+    finally:
+        del ev  # free the self-referencing closure and the memo now
 
 
-# Open mode: a type-system decision whose solution is read off as a grid witness.
+# The type search that decides both modes.
 
 
 def _subsets(bits: list[int]) -> list[int]:
@@ -288,23 +242,56 @@ def _subsets(bits: list[int]) -> list[int]:
 
 
 def _system_satisfiable(
-    phi: Formula, atoms: tuple[str, ...], values: tuple[str, ...], meter: BudgetMeter
-) -> tuple[list[int], list[list[list[tuple[int, bool]]]]] | None:
-    """Decide satisfiability over unboundedly many atoms by searching for a
-    coherent system of classifier-row types and instance-column types.
+    phi: Formula,
+    atoms: tuple[str, ...],
+    values: tuple[str, ...],
+    meter: BudgetMeter,
+    copies: int | None = None,
+) -> tuple[list[int], list[tuple[int, ...]], tuple[int, int]] | None:
+    """Decide satisfiability by searching for a coherent family of
+    classifier-row types and instance-column types.
 
     A row type fixes the instance-box subformulas true along a classifier; a
-    column type fixes an atom valuation plus the classifier-box subformulas
-    true along an instance.  Every subformula's truth at a cell is determined
-    by (row type, column type, cell value); the search looks for a mutually
-    compatible family fulfilling every diamond obligation, seeded with a cell
-    satisfying the target formula.  UNSAT is definitive: the types realized
-    by any satisfying model form such a family.
+    column type fixes a valuation of `atoms` plus the classifier-box
+    subformulas true along an instance.  Every subformula's truth at a cell
+    is determined by (row type, column type, cell value); a value is
+    admissible where it makes the arguments of the cell's true boxes true.
+    In a family every cell admits a value, every row type is realized, phi
+    holds at a realized cell, and each false box of a column fails there at
+    a realized row.  `copies` is None in open mode and, in finite mode, the
+    number of states that may share a valuation of `atoms`.  The mode enters
+    at three points.  Columns: open mode adds each column type once, and
+    fresh atoms give it copies; in finite mode a column is one state, at
+    most `copies` share a valuation, and a new one takes the least free copy
+    index, as they are interchangeable.  Realizing a row type: in open mode
+    each false instance box fails at some value of some column, since copies
+    of the row meet every value; in finite mode one value per column refutes
+    them all, found by a reach-set pass over the columns on the bits of
+    refuted arguments, pinned where phi must hold or a box must fail.  The
+    witness: k copies of every type in open mode (see below); in finite mode
+    the columns are the states, and the classifiers are one realization
+    where phi holds plus one per false box per column.
 
-    Returns the family found as (masks, cells): masks[c] is the atom
-    valuation of column type c, and cells[r][c] lists the admissible
-    (value index, truth of phi) pairs of row type r and column type c in
-    value order.  None means UNSAT.
+    The depth-first search seeds each cell where phi can hold and adds one
+    type toward the first unmet obligation: for a row type, a column
+    refuting a box no column refutes yet or, if the values clash, one of its
+    false boxes; for phi, a column refuting a false box of a row where phi
+    can hold; for a column's false box, a new row type refuting it there or
+    a column refuting a false box of a row type that already does.
+    Completeness: the types of any model of phi form such a family within
+    the copy bound.  While the search's family and phi's cell lie inside it,
+    the model's classifier meeting an unmet obligation has a candidate type,
+    or a type in the family whose values at other states refute a box that
+    the family's columns leave unrefuted.  So a family that fails has no
+    model around it, whichever seed reached it.  Soundness: by induction
+    every cell's truths equal its types', as a true box holds at every
+    admissible value and a false one fails at a realization; so two rows
+    with one table carry one type, and finite-mode states stay distinct.
+
+    Returns the witness grid (masks, table, point): each column's valuation
+    of `atoms`, the rows as tuples of value indexes, and the (row, column)
+    where phi holds; None means UNSAT.  Raises BudgetExceeded, spending
+    nothing, when the cell table alone exceeds the meter's remaining budget.
     """
     sf = sorted(subformulas(phi), key=lambda f: (size(f), render_formula(f)))
     pos = {f: p for p, f in enumerate(sf)}
@@ -334,14 +321,17 @@ def _system_satisfiable(
             arg[p] = 1 << pos[f.sub]
         else:
             raise AssertionError("type search needs an expanded static formula")
+    nvals = len(values)
+    cost = len(sf) * nvals << len(boxi) + len(atoms) + len(boxf)
+    if cost > meter.cap - meter.used:
+        raise BudgetExceeded(f"{meter.what} cannot fit the {cost} cell truths of its types in its node budget")
+    meter.spend(cost)
     rows = _subsets([1 << b for b in boxi])
     cols = [
         (mask, fbits)
         for mask in range(1 << len(atoms))
         for fbits in _subsets([1 << b for b in boxf])
     ]
-    nvals = len(values)
-    meter.spend(len(rows) * len(cols) * nvals * len(sf))
 
     def required(bits: int) -> int:
         """The arguments of the boxes in `bits`, which a cell must make true;
@@ -350,6 +340,8 @@ def _system_satisfiable(
 
     row_req = [required(r) for r in rows]
     col_req = [required(fbits) for _, fbits in cols]
+    row_need = [required(sum(1 << b for b in boxi)) & ~req for req in row_req]  # false boxes' arguments
+    col_false = [[arg[b] for b in boxf if not fbits >> b & 1] for _, fbits in cols]
     col_fixed = [
         fbits | top_bits | sum(ab for a, ab in enumerate(atom_bits) if cmask >> a & 1)
         for cmask, fbits in cols
@@ -369,77 +361,124 @@ def _system_satisfiable(
                     valid.append((xi, t))
             if valid:
                 cells[(ri, ci)] = valid
+    phi_bit = 1 << pos[phi]
 
-    def refutes(ri: int, ci: int, target: int) -> bool:
-        return any(not t & target for _, t in cells.get((ri, ci), []))
+    def has(ri: int, ci: int, bit: int, want: int) -> bool:
+        return any(t & bit == want for _, t in cells.get((ri, ci), ()))
 
-    failed: set[tuple[frozenset, frozenset]] = set()
+    def realize(ri: int, cs: tuple[int, ...], pin_j: int = -1, pin: int = 0, want: int = 0) -> tuple:
+        """(values, covered): one value index per column of cs with which a
+        classifier of row type ri refutes all its false boxes, taking a t
+        with t & pin == want at column pin_j (None if there is none), and the
+        arguments that some value refutes."""
+        need = row_need[ri]
+        reach: dict[int, tuple[int, ...]] = {0: ()}  # refuted arguments -> values reaching them
+        covered = work = 0
+        for j, ci in enumerate(cs):
+            vals = cells[ri, ci]
+            if j == pin_j:
+                kept = [v for v in vals if v[1] & pin == want]
+                if not kept:
+                    return None, covered
+                if copies is not None:
+                    vals = kept
+            opts: dict[int, int] = {}  # refuted arguments -> first value refuting them
+            union = 0
+            for xi, t in vals:
+                opts.setdefault(~t & need, xi)
+                union |= ~t & need
+            if copies is None:  # the row's copies meet every value of the cell
+                opts = {union: vals[0][0]}
+            covered |= union
+            work += len(reach) * len(opts)
+            reach = {b | o: p + (xi,) for b, p in reach.items() for o, xi in opts.items()}
+        meter.spend(work)
+        return reach.get(need), covered
 
-    def solve(rset: frozenset, cset: frozenset) -> tuple[frozenset, frozenset] | None:
-        meter.spend(1)
-        obligation = None
-        for ri in sorted(rset):
-            for b in boxi:
-                if rows[ri] >> b & 1:
-                    continue
-                if not any(refutes(ri, ci, arg[b]) for ci in sorted(cset)):
-                    obligation = ("row", ri, b)
-                    break
-            if obligation:
-                break
-        if obligation is None:
-            for ci in sorted(cset):
-                for b in boxf:
-                    if cols[ci][1] >> b & 1:
-                        continue
-                    if not any(refutes(ri, ci, arg[b]) for ri in sorted(rset)):
-                        obligation = ("col", ci, b)
-                        break
-                if obligation:
-                    break
-        if obligation is None:
-            return rset, cset
-        if (rset, cset) in failed:
-            return None
-        kind, who, b = obligation
-        if kind == "row":
-            for ci in range(len(cols)):
-                if ci in cset:
-                    continue
-                if not refutes(who, ci, arg[b]):
-                    continue
-                if all((ri, ci) in cells for ri in rset):
-                    got = solve(rset, cset | {ci})
-                    if got:
-                        return got
-        else:
-            for ri in range(len(rows)):
-                if ri in rset:
-                    continue
-                if not refutes(ri, who, arg[b]):
-                    continue
-                if all((ri, ci) in cells for ci in cset):
-                    got = solve(rset | {ri}, cset)
-                    if got:
-                        return got
-        failed.add((rset, cset))
+    def first(rs: list[int], cs: tuple[int, ...], j: int, bit: int, want: int) -> tuple[int, ...] | None:
+        """The first row type's realization taking a t with t & bit == want at column j."""
+        return next((f for ri in rs if (f := realize(ri, cs, j, bit, want)[0]) is not None), None)
+
+    def grow(rs: frozenset, cs: tuple[int, ...], wants: list[tuple[int, int]]) -> list:
+        """The families with one more column that refutes, for some
+        (row type, arguments) in `wants`, one of those arguments there."""
+        return [
+            (rs, tuple(sorted(cs + (ci,))))
+            for ci in range(len(cols))
+            if any(~t & target for ri, target in wants for _, t in cells.get((ri, ci), ()))
+            and (ci not in cs if copies is None else sum(cols[c][0] == cols[ci][0] for c in cs) < copies)
+            and all((ri, ci) in cells for ri in rs)
+        ]
+
+    def moves(rs: frozenset, cs: tuple[int, ...]) -> list | None:
+        """The families adding one type toward the first unmet obligation of
+        (rs, cs); None when every obligation is met."""
+        rl = sorted(rs)
+        for ri in rl:
+            found, covered = realize(ri, cs)
+            if found is None:
+                missing = row_need[ri] & ~covered
+                return grow(rs, cs, [(ri, missing & -missing or row_need[ri])])
+        if all(first(rl, cs, j, phi_bit, phi_bit) is None for j in range(len(cs))):
+            return grow(rs, cs, [(ri, row_need[ri]) for ri in rl if any(has(ri, c, phi_bit, phi_bit) for c in cs)])
+        for j, cj in enumerate(cs):
+            for a in col_false[cj]:
+                if first(rl, cs, j, a, 0) is None:
+                    helpers = [ri for ri in rl if has(ri, cj, a, 0)]
+                    return [
+                        (rs | {ri}, cs)
+                        for ri in range(len(rows))
+                        if ri not in rs and has(ri, cj, a, 0) and all((ri, c) in cells for c in cs)
+                    ] + grow(rs, cs, [(ri, row_need[ri]) for ri in helpers])
         return None
 
-    phi_bit = 1 << pos[phi]
+    failed: set[tuple[frozenset, tuple[int, ...]]] = set()
+
+    def solve(rs: frozenset, cs: tuple[int, ...]) -> tuple[frozenset, tuple[int, ...]] | None:
+        meter.spend(1)
+        if (rs, cs) in failed:
+            return None
+        options = moves(rs, cs)
+        if options is None:
+            return rs, cs
+        for family in options:
+            got = solve(*family)
+            if got:
+                return got
+        failed.add((rs, cs))
+        return None
+
+    def read_off(rs: list[int], cs: tuple[int, ...]):
+        if copies is not None:  # one classifier where phi holds, one per false box per column
+            seed, j0 = next((f, j) for j in range(len(cs)) if (f := first(rs, cs, j, phi_bit, phi_bit)))
+            table = [seed] + [first(rs, cs, j, a, 0) for j, ci in enumerate(cs) for a in col_false[ci]]
+            return [cols[ci][0] for ci in cs], list(dict.fromkeys(table)), (0, j0)
+        # k copies of every row and column type; copy (a, b) of cell (r, c)
+        # takes the admissible value at (a + b) mod |V(r, c)|.  Each row copy
+        # then meets every admissible value of each of its cells, and so does
+        # each column copy: a box false at a type keeps a refuting cell, and a
+        # box true at a type holds at every admissible value.  Merging
+        # identical rows changes no truth value.
+        grid = [[cells[ri, ci] for ci in cs] for ri in rs]
+        k = max(len(vs) for row in grid for vs in row)
+        rows_out: dict[tuple[int, ...], list[int]] = {}  # value indexes -> truth of phi per column
+        for row in grid:
+            for a in range(k):
+                picks = [vs[(a + b) % len(vs)] for vs in row for b in range(k)]
+                rows_out.setdefault(tuple(x for x, _ in picks), [t & phi_bit for _, t in picks])
+        point = next((i, j) for i, truth in enumerate(rows_out.values()) for j, t in enumerate(truth) if t)
+        return [cols[ci][0] for ci in cs for _ in range(k)], list(rows_out), point
+
     try:
         for ri in range(len(rows)):
             for ci in range(len(cols)):
-                # solve does not depend on the value, so one seed per pair
-                if any(t & phi_bit for _, t in cells.get((ri, ci), [])):
-                    got = solve(frozenset([ri]), frozenset([ci]))
+                if has(ri, ci, phi_bit, phi_bit):
+                    got = solve(frozenset([ri]), (ci,))
                     if got:
-                        rs, cs = sorted(got[0]), sorted(got[1])
-                        return [cols[c][0] for c in cs], [
-                            [[(xi, bool(t & phi_bit)) for xi, t in cells[(r, c)]] for c in cs] for r in rs
-                        ]
+                        return read_off(sorted(got[0]), got[1])
         return None
     finally:
-        del solve, refutes  # free the self-referencing closures and the cells now
+        del solve  # free the self-referencing closure and the cells now
 
 
 def _fresh_names(taken: set[str], count: int) -> list[str]:
@@ -476,21 +515,7 @@ def sat_open(
     solved = _system_satisfiable(phi_sys, atoms, values, BudgetMeter(search_budget(budget)))
     if solved is None:
         return None
-    masks, cells = solved
-    # k copies of every row and column type; copy (a, b) of cell (r, c) takes
-    # the admissible value at (a + b) mod |V(r, c)|.  Each row copy then meets
-    # every admissible value of each of its cells, and so does each column
-    # copy: a box false at a type keeps a refuting cell, and a box true at a
-    # type holds at every admissible value.  Merging identical rows changes
-    # no truth value.
-    k = max(len(vs) for row in cells for vs in row)
-    rows: dict[tuple[int, ...], list[bool]] = {}  # value indexes -> truth of phi per column
-    for row in cells:
-        for a in range(k):
-            picks = [vs[(a + b) % len(vs)] for vs in row for b in range(k)]
-            rows.setdefault(tuple(x for x, _ in picks), [t for _, t in picks])
-    point = next((i, j) for i, truth in enumerate(rows.values()) for j, t in enumerate(truth) if t)
-    return _open_witness(phi, atoms, values, [m for m in masks for _ in range(k)], list(rows), point)
+    return _open_witness(phi, atoms, values, *solved)
 
 
 def _open_witness(

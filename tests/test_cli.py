@@ -230,6 +230,16 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 3 and out.strip() == "RESOURCE-OUT"
 
 
+def test_sat_refuses_a_type_table_beyond_the_budget(capsys, tmp_path):
+    # 2^40 row types: the type search's table is checked before it is built
+    for mode in ("finite", "open"):
+        code, out, _ = run(
+            capsys, "sat", "--mode", mode, "--atoms", "p", "--vals", "0,1",
+            "-f", "boxI " * 40 + "p", "-o", str(tmp_path / "w.plc"),
+        )
+        assert code == 3 and out.strip() == "RESOURCE-OUT"
+
+
 def test_reports_are_byte_identical_across_runs(capsys, ex_file):
     outs = set()
     for _ in range(2):
@@ -264,8 +274,8 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err.strip() == "internal error: self-check failed"
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is imported by the first grid search, not by `import plc`; the
-    # open-mode witness is read off the type search, which runs no grid search
+    # numpy is imported by constraint-mode `build_mcm` only; both modes of
+    # satisfiability run the type search, which needs no numpy
     import os
     import subprocess
     import sys
@@ -279,6 +289,8 @@ def test_import_leaves_numpy_unloaded():
         "import sys, plc, plc.cli\n"
         "sig = plc.Signature(('p',), ('0', '1'))\n"
         "assert plc.sat_open(plc.parse_formula('p & =1 & diaI (p & ~=1)', sig), sig.values)\n"
+        "assert plc.sat_finite(plc.parse_formula('diaF =0 & diaF =1', sig), sig)\n"
+        "assert plc.valid_finite(plc.parse_formula('p -> boxF p', sig), sig)\n"
         "sys.exit('numpy' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

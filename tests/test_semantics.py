@@ -273,19 +273,18 @@ def test_update_evaluation_leaves_no_cyclic_garbage():
 def test_validity_path_leaves_no_cyclic_garbage():
     import gc
 
-    from plc import axiom_instances, sat_open, valid_finite
+    from plc import axiom_instances, brute_force_sat, sat_open, valid_finite
 
     sig = Signature(("p", "q"), ("0", "1"))
     instances = [phi for _, phi in axiom_instances(sig, seed=1, count=2)]
-    # the first grid search imports numpy, whose import leaves cycles of its own
-    valid_finite(instances[0], sig)
     gc.collect()
     gc.disable()
     try:
         for phi in instances:
             valid_finite(phi, sig)
             sat_open(Not(phi), sig.values)
-        # rewrites, grid evaluation and the type search free their closures
+            brute_force_sat(Not(phi), sig, max_functions=2)
+        # the rewrites, the type search and the oracle free their closures
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -4,6 +4,7 @@ import pytest
 
 from plc import (
     Atom,
+    BoxF,
     BudgetExceeded,
     Dec,
     Dyn,
@@ -79,19 +80,68 @@ def test_budget_is_a_distinct_answer():
         sat_finite(F2("p & boxF ~p"), SIG2, budget=10)
 
 
-def test_all_tables_are_lexicographic_and_checked_before_allocation():
-    import itertools
-
+def test_type_search_checks_its_table_before_allocation():
     from plc.config import BudgetMeter
-    from plc.solver import _all_tables
+    from plc.solver import _system_satisfiable
 
-    for nvals, ns in ((1, 2), (2, 3), (3, 2), (3, 4)):
-        want = [list(t) for t in itertools.product(range(nvals), repeat=ns)]
-        assert _all_tables(nvals, ns, BudgetMeter(10**6)).tolist() == want
-    meter = BudgetMeter(1000)
-    with pytest.raises(BudgetExceeded):
-        _all_tables(2, 40, meter)  # 2**40 rows: refused before any is built
-    assert meter.used == 0
+    phi = F1("boxI " * 40 + "p")  # 2^40 row types
+    for copies in (None, 1):  # open mode, finite mode
+        meter = BudgetMeter(10**9)
+        with pytest.raises(BudgetExceeded):
+            _system_satisfiable(phi, ("p",), SIG1.values, meter, copies)
+        assert meter.used == 0
+
+
+ONE_HOT = (
+    # every classifier is one-hot on some full term, some classifier outputs 1
+    # at every instance, and all four instances exist: the smallest model has
+    # four states and four classifiers
+    "boxF (boxI (=1 <-> ~p & ~q) | boxI (=1 <-> ~p & q)"
+    " | boxI (=1 <-> p & ~q) | boxI (=1 <-> p & q))"
+    " & boxI diaF =1 & diaI (~p & ~q) & diaI (~p & q) & diaI (p & ~q) & diaI (p & q)"
+)
+
+
+def test_sat_finite_finds_the_one_hot_counterexample():
+    for sig in (SIG2, Signature(("p", "q", "r"), ("0", "1"))):
+        phi = parse_formula(ONE_HOT, sig)
+        w = sat_finite(phi, sig)
+        assert w is not None
+        assert len(w.model.states) == 4 and len(w.model.functions) == 4
+        assert valid_finite(Not(phi), sig) is False
+
+
+def test_sat_finite_bounds_the_states_sharing_a_valuation():
+    # two states with p need a second atom to tell them apart
+    phi = "diaI (p & =0) & diaI (p & =1)"
+    assert sat_finite(F1(phi), SIG1) is None
+    assert sat_finite(F2(phi), SIG2) is not None
+
+
+def test_three_atom_classifier_box_schemas_are_valid():
+    sig3 = Signature(("p", "q", "r"), ("0", "1"))
+    wanted = {"K_boxF", "4_boxF", "5_boxF", "Comm"}
+    instances = [(n, phi) for n, phi in axiom_instances(sig3, seed=0, count=1) if n in wanted]
+    assert {n for n, _ in instances} == wanted
+    for name, phi in instances:
+        assert valid_finite(phi, sig3), name
+
+
+def test_oracle_agrees_with_solver_at_the_selection_bound():
+    # keeping the actual classifier and one refuting classifier per (state,
+    # false classifier box) preserves truth, so 1 + 4 * k_F classifiers suffice
+    # over two atoms; k_F is counted here, not by the solver under test
+    rng = random.Random(3)
+    checked = 0
+    while checked < 300:
+        phi = random_formula(rng, SIG2, 3, allow_cp=True)
+        k_f = sum(isinstance(f, BoxF) for f in subformulas(phi))
+        if k_f > 1:
+            continue
+        checked += 1
+        mine = sat_finite(phi, SIG2) is not None
+        oracle = brute_force_sat(phi, SIG2, max_functions=1 + 4 * k_f) is not None
+        assert mine == oracle, phi
 
 
 def test_oracle_agrees_with_solver_on_small_corpus():
@@ -147,15 +197,7 @@ def test_sat_open_examples():
 
 
 def test_sat_open_finds_the_one_hot_counterexample():
-    # every classifier is one-hot on some full term, some classifier outputs 1
-    # at every instance, and all four instances exist: the smallest model has
-    # four states and four classifiers
-    phi = F2(
-        "boxF (boxI (=1 <-> ~p & ~q) | boxI (=1 <-> ~p & q)"
-        " | boxI (=1 <-> p & ~q) | boxI (=1 <-> p & q))"
-        " & boxI diaF =1 & diaI (~p & ~q) & diaI (~p & q) & diaI (p & ~q) & diaI (p & q)"
-    )
-    w = sat_open(phi, SIG2.values)
+    w = sat_open(F2(ONE_HOT), SIG2.values)
     assert w is not None
     assert len(w.model.states) >= 4 and len(w.model.functions) >= 4
 
