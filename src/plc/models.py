@@ -9,9 +9,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import _vecsem
-from .semantics import extension_mask
+from .semantics import extension_mask, grid_extension
 from .syntax import (
+    BoxI,
     Formula,
     Signature,
     Term,
@@ -23,6 +23,7 @@ from .syntax import (
 State = frozenset  # a state is the set of atoms it makes true
 
 _CONSTRAINT_TABLE_CAP = 2_097_152  # candidate functions enumerated per build
+_CANDIDATE_GRID = 65536  # most candidate functions evaluated in one grid
 
 
 class ModelError(ValueError):
@@ -46,6 +47,19 @@ def mask_state(sig: Signature, mask: int) -> State:
 
 def all_states(sig: Signature) -> list[State]:
     return [mask_state(sig, m) for m in range(1 << len(sig.atoms))]
+
+
+def _sorted_states(sig: Signature, states: Iterable[State]) -> tuple[list[State], list[int]]:
+    """The states and their atom bitmasks, sorted by bitmask, after checking
+    that the set is nonempty, duplicate-free and over declared atoms."""
+    sts = [frozenset(s) for s in states]
+    if not sts:
+        raise ModelError("state set must be nonempty")
+    masks = {s: state_mask(sig, s) for s in sts}
+    if len(masks) != len(sts):
+        raise ModelError("duplicate states")
+    sts.sort(key=masks.__getitem__)
+    return sts, [masks[s] for s in sts]
 
 
 class ClassifierFn:
@@ -103,17 +117,9 @@ class MCM:
         inconsistent: bool = False,
     ):
         self.sig = sig
-        sts = [frozenset(s) for s in states]
-        if not sts:
-            raise ModelError("state set must be nonempty")
-        for s in sts:
-            for a in s:
-                sig.atom_index(a)
-        masks = {s: state_mask(sig, s) for s in sts}
-        if len(masks) != len(sts):
-            raise ModelError("duplicate states")
-        self.states: tuple[State, ...] = tuple(sorted(sts, key=masks.__getitem__))
-        self.state_masks: tuple[int, ...] = tuple(masks[s] for s in self.states)
+        sts, masks = _sorted_states(sig, states)
+        self.states: tuple[State, ...] = tuple(sts)
+        self.state_masks: tuple[int, ...] = tuple(masks)
         fns = list(functions)
         if not fns and not inconsistent:
             raise ModelError("classifier set must be nonempty")
@@ -212,16 +218,20 @@ def build_mcm(
     """Construct a model from explicit tables or from constraint formulas.
 
     In constraint mode a candidate function is kept iff its singleton model
-    satisfies every constraint at every state; candidates are enumerated by
-    brute force over all value assignments, so the state set must stay small.
+    satisfies every constraint at every state.  Candidates are enumerated by
+    brute force over all value assignments, so the state set must stay small:
+    with the leading states' values fixed, the assignments to the last k
+    states (at most 65,536) are the columns of one grid, each column a model
+    of its own, and the grid evaluator reads off at once the columns where
+    `boxI` of the constraints holds.  Kept functions are named f0, f1, ... in
+    the lexicographic order of their value tuples (states sorted by atom
+    bitmask, values in declared order).
     """
     if (functions is None) == (constraints is None):
         raise ValueError("give exactly one of functions= or constraints=")
     sts = all_states(sig) if states == "all" else [frozenset(s) for s in states]
     if functions is not None:
         return MCM(sig, sts, functions)
-
-    import numpy as np
 
     from .parser import parse_formula
 
@@ -232,37 +242,54 @@ def build_mcm(
             raise ModelError("constraints must not contain update operators")
         validate_formula(phi, sig)
         phis.append(phi)
+    sts, masks = _sorted_states(sig, sts)
     if states != "all" and set(sts) != set(all_states(sig)):
         warnings.warn(
             "constraint mode over a partial state set: ceteris-paribus "
             "constraints that walk intermediate states may not mean what you want",
             stacklevel=2,
         )
-    combined = big_and(phis)
+    everywhere = BoxI(big_and(phis))
     n = len(sts)
     nv = len(sig.values)
     total = nv**n
     if total > _CONSTRAINT_TABLE_CAP:
         raise ModelError(f"constraint mode would enumerate {total} candidate functions")
-    sts_sorted = sorted(sts, key=lambda s: state_mask(sig, s))
-    masks = [state_mask(sig, s) for s in sts_sorted]
+    k = 0
+    while k < n and nv ** (k + 1) <= _CANDIDATE_GRID:
+        k += 1
+    nf = nv**k
+    row = (1 << nf) - 1
+    # value masks of the last k rows: in row n-k+j, candidate c outputs digit
+    # j of c in base nv, a pattern of period nv^(k-j) laid out by doubling
+    tail_masks = [0] * nv
+    for j in range(k):
+        run = nv ** (k - 1 - j)
+        for v in range(nv):
+            pattern, width = ((1 << run) - 1) << (v * run), nv * run
+            while width < nf:
+                pattern |= pattern << width
+                width *= 2
+            tail_masks[v] |= (pattern & row) << ((n - k + j) * nf)
+    tails = list(itertools.product(sig.values, repeat=k))
     kept: list[ClassifierFn] = []
-    chunk = 65536
-    gen = itertools.product(range(nv), repeat=n)
-    while True:
-        rows = list(itertools.islice(gen, chunk))
-        if not rows:
-            break
-        batch = np.asarray(rows, dtype=np.int8).reshape(len(rows), 1, n)
-        truth = _vecsem.grid_truth(combined, sig.atoms, sig.values, masks, batch)
-        ok = truth[:, :, 0].all(axis=1)
-        for local_i in np.nonzero(ok)[0]:
-            row = rows[int(local_i)]
-            table = {s: sig.values[row[j]] for j, s in enumerate(sts_sorted)}
-            kept.append(ClassifierFn(f"f{len(kept)}", table))
+    for lead in itertools.product(range(nv), repeat=n - k):
+        dec = tail_masks.copy()
+        for si, v in enumerate(lead):
+            dec[v] |= row << (si * nf)
+        by_value = dict(zip(sig.values, dec))
+        ok = row & grid_extension(
+            everywhere, sig, masks, nf, by_value.__getitem__, singleton=True, cache={}
+        )
+        head = tuple(sig.values[v] for v in lead)
+        bits = format(ok, "b")[::-1]
+        c = bits.find("1")
+        while c >= 0:
+            kept.append(ClassifierFn(f"f{len(kept)}", dict(zip(sts, head + tails[c]))))
+            c = bits.find("1", c + 1)
     if not kept:
         raise ModelError("no candidate function satisfies the constraints")
-    return MCM(sig, sts_sorted, kept)
+    return MCM(sig, sts, kept)
 
 
 def update_mcm(mcm: MCM, phi: Formula) -> MCM:

@@ -3,21 +3,25 @@
 A model is read as a set of points with two partitions: `boxI` ranges over
 an I-block (the points of one classifier) and `boxF` over an F-block (the
 points of one instance).  One bottom-up recursion computes the extension of
-a formula, the bitmask of the points where it holds.  On a multi-classifier
-model the points form a grid (bit si*nf + fi), and an update `[! a] s` is
-evaluated inside it: `s` is evaluated with only the classifier columns where
-`a` holds globally left live, so no updated model is built.  Each model
-caches the extensions of the formulas asked about and of their atoms.
+a formula, the bitmask of the points where it holds.  On a grid (bit
+si*nf + fi for state row si and classifier column fi) `boxI` is the AND of
+the rows, computed by shifts; a multi-classifier model is such a grid, and
+so is constraint mode's batch of candidate classifiers, each column a model
+of its own.  An update `[! a] s` is evaluated inside the grid: `s` is
+evaluated with only the classifier columns where `a` holds globally left
+live, so no updated model is built.  Each model caches the extensions of
+the formulas asked about and of their atoms.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .syntax import CP, And, Atom, BoxF, BoxI, Dec, Dyn, Formula, Not, Top, validate_formula
 
 if TYPE_CHECKING:
     from .models import MCM, MDM, PointedMCM, QuasiMDM
+    from .syntax import Signature
 
 
 class EvalError(ValueError):
@@ -36,19 +40,20 @@ def _box(e: int, blocks: Iterable[int]) -> int:
 def _extension(
     phi: Formula,
     full: int,
-    i_blocks: list[int],
-    f_blocks: list[int],
+    box_i: Callable[[int], int],
+    box_f: Callable[[int], int],
     leaf: Callable[[Formula], int],
     cp_groups: Callable[[tuple[str, ...]], Iterable[int]] | None,
     cache: dict[Formula, int],
 ) -> int:
     """Bitmask of the points satisfying phi.
 
-    `leaf` computes the mask of an atom or decision atom (raising
-    SignatureError for an undeclared name) and `cache` keeps it.  `cp_groups`
-    maps a ceteris-paribus index set to the unions of F-blocks agreeing on
-    it; without it, ceteris-paribus and update operators raise EvalError.
-    Bits outside the live mask are never read.
+    `box_i` and `box_f` map a mask to the union of the I-blocks (F-blocks)
+    wholly inside it.  `leaf` computes the mask of an atom or decision atom
+    (raising SignatureError for an undeclared name) and `cache` keeps it.
+    `cp_groups` maps a ceteris-paribus index set to the unions of F-blocks
+    agreeing on it; without it, ceteris-paribus and update operators raise
+    EvalError.  Bits outside the live mask are never read.
     """
     memo: dict[tuple[int, int], int] = {}
 
@@ -73,16 +78,17 @@ def _extension(
                 "semantics; expand or reduce them first"
             )
         elif isinstance(f, BoxI):
-            out = _box(rec(f.sub, live) | (full ^ live), i_blocks)
+            out = box_i(rec(f.sub, live) | (full ^ live))
         elif isinstance(f, BoxF):
-            out = _box(rec(f.sub, live) | (full ^ live), f_blocks)
+            out = box_f(rec(f.sub, live) | (full ^ live))
         elif isinstance(f, CP):
             e = rec(f.sub, live) | (full ^ live)
             out = 0
             for g in cp_groups(f.atoms):
-                out |= _box(e, [g & b for b in i_blocks])
+                # the I-blocks cut down to g: points outside g do not count
+                out |= g & box_i(e | (full ^ g))
         elif isinstance(f, Dyn):
-            guard = _box(rec(f.announced, live) | (full ^ live), i_blocks) & live
+            guard = box_i(rec(f.announced, live) | (full ^ live)) & live
             # the scope is evaluated even when no classifier survives, so an
             # undeclared name in it is still reported
             out = (full ^ guard) | (rec(f.sub, guard) & guard)
@@ -100,6 +106,60 @@ def _extension(
         del rec
 
 
+def grid_extension(
+    phi: Formula,
+    sig: Signature,
+    state_masks: Sequence[int],
+    nf: int,
+    dec: Callable[[str], int],
+    singleton: bool,
+    cache: dict[Formula, int],
+) -> int:
+    """Bitmask of the points of a grid satisfying phi (bit = si*nf + fi).
+
+    Row si holds the states with atom bitmask `state_masks[si]`, column fi
+    one classifier, and `dec(v)` is the mask of the points whose classifier
+    outputs v.  With `singleton` set, each column is a model of its own (a
+    batch of candidate classifiers), so `boxF` looks at one point only.
+    """
+    ns = len(state_masks)
+    row = (1 << nf) - 1
+    full = (1 << (ns * nf)) - 1
+    rows = [row << (si * nf) for si in range(ns)]
+
+    def box_i(e: int) -> int:
+        # AND the ns rows into row 0 by halving, then copy row 0 back into
+        # every row by doubling: shifts only, no per-column loop
+        m = ns
+        while m > 1:
+            h = m // 2
+            e &= e >> (h * nf)
+            m -= h
+        e &= row
+        k = 1
+        while k < ns:
+            e |= e << (k * nf)
+            k *= 2
+        return e & full
+
+    def leaf(f: Formula) -> int:
+        if isinstance(f, Atom):
+            i = sig.atom_index(f.name)
+            return sum(r for r, m in zip(rows, state_masks) if m >> i & 1)
+        sig.require_value(f.value)
+        return dec(f.value)
+
+    def cp_groups(atoms: tuple[str, ...]) -> Iterable[int]:
+        xbits = sum(1 << sig.atom_index(a) for a in atoms)
+        groups: dict[int, int] = {}
+        for r, m in zip(rows, state_masks):
+            groups[m & xbits] = groups.get(m & xbits, 0) | r
+        return groups.values()
+
+    box_f = (lambda e: e) if singleton else (lambda e: _box(e, rows))
+    return _extension(phi, full, box_i, box_f, leaf, cp_groups, cache)
+
+
 def extension_mask(mcm: MCM, phi: Formula) -> int:
     """Bitmask of the points satisfying phi, state-major (bit = si*nf + fi)."""
     if mcm.inconsistent:
@@ -109,39 +169,18 @@ def extension_mask(mcm: MCM, phi: Formula) -> int:
     hit = mcm._ext_cache.get(phi)
     if hit is not None:
         return hit
-    sig = mcm.sig
-    ns, nf = len(mcm.states), len(mcm.functions)
-    row = (1 << nf) - 1
-    full = (1 << (ns * nf)) - 1
-    col = full // row
+    nf = len(mcm.functions)
 
-    def leaf(f: Formula) -> int:
-        if isinstance(f, Atom):
-            i = sig.atom_index(f.name)
-            return sum(row << (si * nf) for si, m in enumerate(mcm.state_masks) if m >> i & 1)
-        sig.require_value(f.value)
+    def dec(value: str) -> int:
         return sum(
             1 << (si * nf + fi)
             for si, s in enumerate(mcm.states)
             for fi, fn in enumerate(mcm.functions)
-            if fn(s) == f.value
+            if fn(s) == value
         )
 
-    def cp_groups(atoms: tuple[str, ...]) -> Iterable[int]:
-        xbits = sum(1 << sig.atom_index(a) for a in atoms)
-        groups: dict[int, int] = {}
-        for si, m in enumerate(mcm.state_masks):
-            groups[m & xbits] = groups.get(m & xbits, 0) | row << (si * nf)
-        return groups.values()
-
-    result = _extension(
-        phi,
-        full,
-        [col << fi for fi in range(nf)],
-        [row << (si * nf) for si in range(ns)],
-        leaf,
-        cp_groups,
-        mcm._ext_cache,
+    result = grid_extension(
+        phi, mcm.sig, mcm.state_masks, nf, dec, singleton=False, cache=mcm._ext_cache
     )
     mcm._ext_cache[phi] = result
     return result
@@ -180,12 +219,14 @@ def mdm_extension_mask(M: QuasiMDM, phi: Formula) -> int:
         sig.require_value(f.value)
         return sum(1 << i for i, w in enumerate(M.worlds) if M.dec_val(w) == f.value)
 
+    i_blocks = [sum(1 << pos[w] for w in b) for b in M.rel_i]
+    f_blocks = [sum(1 << pos[w] for w in b) for b in M.rel_f]
     try:
         result = _extension(
             phi,
             (1 << len(M.worlds)) - 1,
-            [sum(1 << pos[w] for w in b) for b in M.rel_i],
-            [sum(1 << pos[w] for w in b) for b in M.rel_f],
+            lambda e: _box(e, i_blocks),
+            lambda e: _box(e, f_blocks),
             leaf,
             None,
             M._ext_cache,

@@ -273,9 +273,10 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err.strip() == "internal error: self-check failed"
 
-def test_import_leaves_numpy_unloaded():
-    # numpy is imported by constraint-mode `build_mcm` only; both modes of
-    # satisfiability run the type search, which needs no numpy
+def test_import_leaves_numpy_unloaded(tmp_path):
+    # plc has no runtime dependencies: with numpy blocked, satisfiability in
+    # both modes and constraint-mode model building, through the library
+    # and through the CLI, still run
     import os
     import subprocess
     import sys
@@ -283,14 +284,27 @@ def test_import_leaves_numpy_unloaded():
 
     import plc
 
+    model = tmp_path / "constraints.plc"
+    model.write_text(
+        "val: 0 1\natoms: si or cl an\nstates: all\nfunctions:\n"
+        + "".join(f"constraint: {c}\n" for c in EX_CONSTRAINTS)
+    )
     src = str(Path(plc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, plc, plc.cli\n"
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "import plc, plc.cli\n"
         "sig = plc.Signature(('p',), ('0', '1'))\n"
         "assert plc.sat_open(plc.parse_formula('p & =1 & diaI (p & ~=1)', sig), sig.values)\n"
         "assert plc.sat_finite(plc.parse_formula('diaF =0 & diaF =1', sig), sig)\n"
         "assert plc.valid_finite(plc.parse_formula('p -> boxF p', sig), sig)\n"
-        "sys.exit('numpy' in sys.modules)"
+        "ex = plc.Signature(('si', 'or', 'cl', 'an'), ('0', '1'))\n"
+        f"assert len(plc.build_mcm(ex, 'all', constraints={list(EX_CONSTRAINTS)!r}).functions) == 19\n"
+        "sys.exit(plc.cli.main(['valid', '-m', sys.argv[1], '-f', '~an -> =0']))"
     )
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(model)], env=env, timeout=60, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "TRUE"

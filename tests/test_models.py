@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -82,6 +83,108 @@ def test_constraint_mode_warns_off_the_full_cube():
     sig = Signature(("p",), ("0", "1"))
     with pytest.warns(UserWarning):
         build_mcm(sig, [frozenset()], constraints=["=0 | =1"])
+
+
+def test_constraint_mode_checks_the_state_set_first():
+    # a duplicate or empty state set is reported as such, before any
+    # candidate is enumerated
+    sig = Signature(("p",), ("0", "1"))
+    s = frozenset({"p"})
+    with pytest.raises(ModelError, match="duplicate states"):
+        build_mcm(sig, [s, s], constraints=["=0 & =1"])
+    with pytest.raises(ModelError, match="state set must be nonempty"):
+        build_mcm(sig, [], constraints=["=0 | =1"])
+
+
+def _oracle_kept(sig, states, phi):
+    """The value tuples, in lexicographic order, whose singleton model
+    satisfies phi everywhere, by the solver's point-wise oracle evaluator."""
+    import itertools
+
+    from plc.models import state_mask
+    from plc.solver import _oracle_search_points
+    from plc.syntax import Not
+
+    apos = {a: i for i, a in enumerate(sig.atoms)}
+    cols = [state_mask(sig, s) for s in states]
+    return [
+        tuple(sig.values[v] for v in row)
+        for row in itertools.product(range(len(sig.values)), repeat=len(states))
+        if _oracle_search_points(Not(phi), apos, sig.values, cols, [row]) is None
+    ]
+
+
+def test_constraint_mode_matches_the_oracle_on_random_sets():
+    from plc import random_formula
+    from plc.models import state_mask
+    from plc.syntax import Implies, big_and
+
+    rng = random.Random(8)
+    for _ in range(200):
+        sig = Signature(("p", "q"), ("0", "1", "2")[: rng.randint(2, 3)])
+        cube = all_states(sig)
+        states = cube if rng.random() < 0.5 else rng.sample(cube, rng.randint(1, 4))
+        # implications, so that many sets keep some candidates but not all
+        phis = [
+            Implies(
+                random_formula(rng, sig, rng.randint(0, 2), allow_cp=True),
+                random_formula(rng, sig, rng.randint(1, 4), allow_cp=True),
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+        ordered = sorted(states, key=lambda s: state_mask(sig, s))
+        want = _oracle_kept(sig, ordered, big_and(phis))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if not want:
+                with pytest.raises(ModelError, match="no candidate"):
+                    build_mcm(sig, states, constraints=phis)
+                continue
+            m = build_mcm(sig, states, constraints=phis)
+        assert m.states == tuple(ordered)
+        got = {f.name: tuple(f(s) for s in ordered) for f in m.functions}
+        assert got == {f"f{i}": row for i, row in enumerate(want)}
+
+
+def test_constraint_mode_spans_several_grids():
+    # 5^8 = 390,625 candidates: the first two states' values pick one of 25
+    # grids of 5^6 candidates each
+    import itertools
+
+    sig = Signature(("p", "q", "r"), ("0", "1", "2", "3", "4"))
+    states = all_states(sig)  # sorted by atom bitmask
+    m = build_mcm(
+        sig,
+        "all",
+        constraints=[
+            "=0 | =1 | (p & =2)",
+            "=2 -> [q](r | =0 | =2)",
+            "boxF (=1 -> diaI =0)",
+        ],
+    )
+
+    def admissible(t):
+        return (
+            all(v in "01" or ("p" in s and v == "2") for s, v in t.items())
+            and all(
+                "r" in s2 or t[s2] in "02"
+                for s, v in t.items()
+                if v == "2"
+                for s2 in states
+                if ("q" in s2) == ("q" in s)
+            )
+            and ("1" not in t.values() or "0" in t.values())
+        )
+
+    want = [
+        row
+        for row in itertools.product(sig.values, repeat=len(states))
+        if admissible(dict(zip(states, row)))
+    ]
+    assert len({row[:2] for row in want}) > 1  # survivors in several grids
+    assert m.states == tuple(states)
+    got = {f.name: tuple(f(s) for s in states) for f in m.functions}
+    assert got == {f"f{i}": row for i, row in enumerate(want)}
 
 
 def test_update_with_truth_is_identity(ex_model):
