@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from . import explain as explain_mod
 from .config import BudgetExceeded
-from .modelio import dumps_mcm, load_model
-from .models import MCM, PointedMCM, mdm_to_mcm, update_mcm
 from .parser import parse_formula, render_formula
-from .rewrite import reduce_dynamic
-from .semantics import check_mcm, valid_in_mcm
-from .solver import sat_finite, sat_open, valid_finite
 from .syntax import FRESH_PREFIX, Signature, is_static
+
+# each command imports the modules it uses, so that a one-query process
+# loads only those
+if TYPE_CHECKING:
+    from .models import MCM, PointedMCM
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,15 +44,16 @@ def _signature(args) -> Signature:
 
 
 def _load_pointed(path: str) -> PointedMCM:
-    model, point = load_model(path)
-    if not isinstance(model, MCM):
-        raise ValueError(f"{path} holds a decision model; this command needs a classifier model")
+    _, point = _load_mcm(path)
     if point is None:
         raise ValueError(f"{path} has no point: line")
     return point
 
 
 def _load_mcm(path: str) -> tuple[MCM, PointedMCM | None]:
+    from .modelio import load_model
+    from .models import MCM
+
     model, point = load_model(path)
     if not isinstance(model, MCM):
         raise ValueError(f"{path} holds a decision model; this command needs a classifier model")
@@ -116,6 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
+    from .semantics import check_mcm
+
     point = _load_pointed(args.model)
     phi = parse_formula(args.formula, point.model.sig)
     print("TRUE" if check_mcm(point, phi) else "FALSE")
@@ -123,6 +126,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_valid(args) -> int:
+    from .semantics import valid_in_mcm
+
     model, _ = _load_mcm(args.model)
     phi = parse_formula(args.formula, model.sig)
     print("TRUE" if valid_in_mcm(model, phi) else "FALSE")
@@ -130,6 +135,10 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_sat(args) -> int:
+    from .modelio import dumps_mcm
+    from .rewrite import reduce_dynamic
+    from .solver import sat_finite, sat_open
+
     sig = _signature(args)
     phi = parse_formula(args.formula, sig)
     if not is_static(phi):
@@ -147,20 +156,25 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    from .explain import enumerate_axps, enumerate_pimps, enumerate_subjective
+
     point = _load_pointed(args.model)
     value = point.function(point.state)
     if args.subjective:
-        terms = explain_mod.enumerate_subjective(point, args.kind)
+        terms = enumerate_subjective(point, args.kind)
     elif args.kind == "axp":
-        terms = explain_mod.enumerate_axps(point)
+        terms = enumerate_axps(point)
     else:
-        terms = explain_mod.enumerate_pimps(point)
+        terms = enumerate_pimps(point)
     for t in terms:
         print(f"{render_formula(t.as_formula(point.model.sig))}\t={value}")
     return 0
 
 
 def _cmd_update(args) -> int:
+    from .modelio import dumps_mcm
+    from .models import update_mcm
+
     model, point = _load_mcm(args.model)
     phi = parse_formula(args.formula, model.sig)
     updated = update_mcm(model, phi)
@@ -176,6 +190,8 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .rewrite import reduce_dynamic
+
     sig = _signature(args)
     phi = parse_formula(args.formula, sig)
     print(render_formula(reduce_dynamic(phi)))
@@ -183,6 +199,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .modelio import dumps_mcm, load_model
+    from .models import MCM, mdm_to_mcm
+
     model, point = load_model(args.model)
     if isinstance(model, MCM):
         raise ValueError(f"{args.model} already holds a classifier model")
@@ -197,6 +216,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_axioms(args) -> int:
     from .axioms import SCHEMA_NAMES, axiom_instances
+    from .solver import valid_finite
 
     sig = _signature(args)
     instances = axiom_instances(sig, depth=args.depth, seed=args.seed, count=args.count)

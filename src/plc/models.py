@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .semantics import extension_mask, grid_extension
 from .syntax import (
     BoxI,
     Formula,
+    Frozen,
     Signature,
     Term,
     big_and,
@@ -72,6 +72,7 @@ class ClassifierFn:
         self.name = name
         self._table = {frozenset(s): v for s, v in table.items()}
         self._items = tuple(sorted(self._table.items(), key=lambda kv: tuple(sorted(kv[0]))))
+        self._hash = hash(self._items)
 
     def __call__(self, state: State) -> str:
         try:
@@ -93,7 +94,7 @@ class ClassifierFn:
         return isinstance(other, ClassifierFn) and self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ClassifierFn({self.name!r}, {len(self._table)} states)"
@@ -103,10 +104,10 @@ class MCM:
     """A set of input instances together with a set of candidate classifiers.
 
     States are sorted by their atom bitmask (kept in `state_masks`) and
-    functions by (name, table); models are immutable after construction.  An
-    empty function set is legal only with the `inconsistent` marker, which
-    knowledge updates produce when every classifier is discarded; checking
-    against such a model is an error.
+    functions by their distinct names; models are immutable after
+    construction.  An empty function set is legal only with the
+    `inconsistent` marker, which knowledge updates produce when every
+    classifier is discarded; checking against such a model is an error.
     """
 
     def __init__(
@@ -126,20 +127,19 @@ class MCM:
         if fns and inconsistent:
             raise ModelError("inconsistent marker requires an empty classifier set")
         sset = set(self.states)
+        values = frozenset(sig.values)
         for f in fns:
-            dom = set(s for s, _ in f.items())
-            if dom != sset:
+            if f._table.keys() != sset:
                 raise ModelError(f"function {f.name} is not total on the state set")
-            for _, v in f.items():
-                sig.require_value(v)
+            if not values.issuperset(f._table.values()):
+                for _, v in f.items():
+                    sig.require_value(v)
         if len(set(fns)) != len(fns):
             raise ModelError("duplicate function tables")
         names = [f.name for f in fns]
         if len(set(names)) != len(names):
             raise ModelError("duplicate function names")
-        self.functions: tuple[ClassifierFn, ...] = tuple(
-            sorted(fns, key=lambda f: (f.name, tuple(v for _, v in f.items())))
-        )
+        self.functions: tuple[ClassifierFn, ...] = tuple(sorted(fns, key=lambda f: f.name))
         self.inconsistent = inconsistent
         self._ext_cache: dict[Formula, int] = {}
         self._term_cache: dict[tuple[int, int], Term] = {}  # explain's terms by (pos, neg) mask
@@ -387,15 +387,18 @@ class MDM(QuasiMDM):
     """A quasi model additionally expected to satisfy functionality (C2)."""
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(Frozen):
+    __slots__ = _fields = ("name", "passed", "witness")
     name: str
     passed: bool
-    witness: tuple | None = None
+    witness: tuple | None
+
+    def __init__(self, name: str, passed: bool, witness: tuple | None = None) -> None:
+        super().__init__(name, passed, witness)
 
 
-@dataclass(frozen=True)
-class MdmReport:
+class MdmReport(Frozen):
+    __slots__ = _fields = ("checks",)
     checks: tuple[ConstraintCheck, ...]
 
     def check(self, name: str) -> ConstraintCheck:
@@ -425,18 +428,19 @@ def validate_mdm(M: QuasiMDM) -> MdmReport:
     decision uniqueness/existence, and the trivial-intersection property."""
     checks: list[ConstraintCheck] = []
 
-    # C1: the two relations commute.
+    # C1: the two relations commute: a world's I-class reaches, through F,
+    # the same worlds as its F-class reaches through I.  Equal unions share
+    # an id, so each world compares two ints.
+    via_if = [frozenset().union(*(M.f_class(u) for u in block)) for block in M.rel_i]
+    via_fi = [frozenset().union(*(M.i_class(u) for u in block)) for block in M.rel_f]
+    ids: dict[frozenset, int] = {}
+    if_ids = [ids.setdefault(u, len(ids)) for u in via_if]
+    fi_ids = [ids.setdefault(u, len(ids)) for u in via_fi]
     c1_witness = None
     for w in M.worlds:
-        via_if = set()
-        for u in M.i_class(w):
-            via_if |= M.f_class(u)
-        via_fi = set()
-        for u in M.f_class(w):
-            via_fi |= M.i_class(u)
-        diff = via_if ^ via_fi
-        if diff:
-            c1_witness = (w, sorted(diff, key=repr)[0])
+        i, f = M.i_index(w), M.f_index(w)
+        if if_ids[i] != fi_ids[f]:
+            c1_witness = (w, min(via_if[i] ^ via_fi[f], key=repr))
             break
     checks.append(ConstraintCheck("C1", c1_witness is None, c1_witness))
 
@@ -558,25 +562,24 @@ def _lift_partition(
         if rx != ry:
             parent[ry] = rx
 
-    raw_pairs: set[tuple[int, int]] = set()
+    groups_of: list[list[set[int]]] = [[] for _ in classes]
     for group in touched.values():
-        gs = sorted(group)
-        for a in gs:
-            for b in gs:
-                raw_pairs.add((a, b))
-            union(gs[0], a)
+        first = min(group)
+        for a in group:
+            groups_of[a].append(group)
+            union(first, a)
     blocks: dict[int, list[int]] = {}
     for ci in range(len(classes)):
         blocks.setdefault(find(ci), []).append(ci)
-    # the existential relation must already be transitive
-    for members in blocks.values():
-        for a in members:
-            for b in members:
-                if (a, b) not in raw_pairs:
-                    raise ModelError(
-                        f"quotient of {label} is not an equivalence relation; "
-                        "the model cannot be normalized as a whole"
-                    )
+    # the existential relation must already be transitive: every class is
+    # related to its whole component, i.e. its groups cover the component
+    for ci, groups in enumerate(groups_of):
+        size = len(blocks[find(ci)])
+        if all(len(g) < size for g in groups) and len(set().union(*groups)) < size:
+            raise ModelError(
+                f"quotient of {label} is not an equivalence relation; "
+                "the model cannot be normalized as a whole"
+            )
     out = [frozenset(members) for members in blocks.values()]
     new_index = {}
     for bi, members in enumerate(out):

@@ -9,7 +9,6 @@ is desugared into primitives at construction time; the printer re-sugars.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 ATOM_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
@@ -22,18 +21,66 @@ class SignatureError(ValueError):
     """Ill-formed signature (bad names, duplicates, atom/value clash)."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Frozen:
+    """Immutable value with structural equality over the fields in `_fields`.
+
+    The hash is computed once, from the class name and the fields, when the
+    value is built.  Pickling and copying rebuild the value through its
+    constructor, so the receiving process recomputes the hash.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(self._fields)} arguments, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *values)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._hash != other._hash:  # type: ignore[attr-defined]
+            return False
+        for f in self._fields:
+            if getattr(self, f) != getattr(other, f):
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Signature(Frozen):
     """The declared finite atom set and output-value set of a session."""
 
+    _fields = ("atoms", "values")
+    __slots__ = _fields + ("_atom_pos",)
     atoms: tuple[str, ...]
     values: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
-        values = tuple(self.values)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "values", values)
+    def __init__(self, atoms: Iterable[str], values: Iterable[str]) -> None:
+        atoms = tuple(atoms)
+        values = tuple(values)
         if not values:
             raise SignatureError("value set must be nonempty")
         for a in atoms:
@@ -48,11 +95,12 @@ class Signature:
             raise SignatureError("duplicate value names")
         if set(atoms) & set(values):
             raise SignatureError("atom and value names must be disjoint")
+        super().__init__(atoms, values)
         object.__setattr__(self, "_atom_pos", {a: i for i, a in enumerate(atoms)})
 
     def atom_index(self, name: str) -> int:
         try:
-            return self._atom_pos[name]  # type: ignore[attr-defined]
+            return self._atom_pos[name]
         except KeyError:
             raise SignatureError(f"unknown atom {name!r}") from None
 
@@ -61,10 +109,13 @@ class Signature:
             raise SignatureError(f"unknown value {value!r}")
 
 
-class Formula:
+class Formula(Frozen):
     """Base class; all nodes are immutable values with structural equality."""
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(repr(getattr(self, f)) for f in self._fields)})"
 
     def __str__(self) -> str:
         from .parser import render_formula
@@ -72,91 +123,65 @@ class Formula:
         return render_formula(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(Formula):
+    __slots__ = _fields = ("name",)
     name: str
 
-    def __repr__(self) -> str:
-        return f"Atom({self.name!r})"
 
-
-@dataclass(frozen=True, repr=False)
 class Dec(Formula):
     """Decision atom: the current classifier outputs this value here."""
 
+    __slots__ = _fields = ("value",)
     value: str
 
-    def __repr__(self) -> str:
-        return f"Dec({self.value!r})"
 
-
-@dataclass(frozen=True, repr=False)
 class Top(Formula):
-    def __repr__(self) -> str:
-        return "Top()"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Not(Formula):
+    __slots__ = _fields = ("sub",)
     sub: Formula
 
-    def __repr__(self) -> str:
-        return f"Not({self.sub!r})"
 
-
-@dataclass(frozen=True, repr=False)
 class And(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
-    def __repr__(self) -> str:
-        return f"And({self.left!r}, {self.right!r})"
 
-
-@dataclass(frozen=True, repr=False)
 class BoxI(Formula):
     """Necessity over input instances (classifier held fixed)."""
 
+    __slots__ = _fields = ("sub",)
     sub: Formula
 
-    def __repr__(self) -> str:
-        return f"BoxI({self.sub!r})"
 
-
-@dataclass(frozen=True, repr=False)
 class BoxF(Formula):
     """Necessity over classifiers (input instance held fixed)."""
 
+    __slots__ = _fields = ("sub",)
     sub: Formula
 
-    def __repr__(self) -> str:
-        return f"BoxF({self.sub!r})"
 
-
-@dataclass(frozen=True, repr=False)
 class CP(Formula):
     """Ceteris-paribus modality: sub holds at all instances agreeing on `atoms`."""
 
+    __slots__ = _fields = ("atoms", "sub")
     atoms: tuple[str, ...]
     sub: Formula
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
-
-    def __repr__(self) -> str:
-        return f"CP({self.atoms!r}, {self.sub!r})"
+    def __init__(self, atoms: Iterable[str], sub: Formula) -> None:
+        super().__init__(tuple(sorted(set(atoms))), sub)
 
 
-@dataclass(frozen=True, repr=False)
 class Dyn(Formula):
     """Knowledge update: sub holds after discarding classifiers that do not
     globally satisfy the announced constraint."""
 
+    __slots__ = _fields = ("announced", "sub")
     announced: Formula
     sub: Formula
-
-    def __repr__(self) -> str:
-        return f"Dyn({self.announced!r}, {self.sub!r})"
 
 
 # Derived connectives, stored desugared.
@@ -338,18 +363,19 @@ def expand_cp(xatoms: Iterable[str], phi: Formula, sig: Signature) -> Formula:
     return _expand_cp_ordered(xs, phi)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen):
     """A consistent conjunction of literals, the currency of explanations."""
 
+    __slots__ = _fields = ("pos", "neg")
     pos: frozenset[str]
     neg: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", frozenset(self.pos))
-        object.__setattr__(self, "neg", frozenset(self.neg))
-        if self.pos & self.neg:
+    def __init__(self, pos: Iterable[str], neg: Iterable[str]) -> None:
+        pos = frozenset(pos)
+        neg = frozenset(neg)
+        if pos & neg:
             raise ValueError("a term cannot both assert and deny an atom")
+        super().__init__(pos, neg)
 
     @property
     def atoms(self) -> frozenset[str]:

@@ -256,6 +256,38 @@ def test_validate_mdm_trivial_and_violations():
     assert set(rep.check("C3").witness) == {"w", "v"}
 
 
+def test_c1_witness_and_non_equivalence_lift():
+    sig = Signature(("p",), ("0", "1"))
+    worlds = ["w3", "w2", "w1", "w0"]
+    M = QuasiMDM(
+        sig,
+        worlds,
+        {w: (frozenset(), "0") for w in worlds},
+        [["w0", "w1", "w2"], ["w3"]],
+        [["w2", "w3"], ["w0"], ["w1"]],
+    )
+    # w3 is the first world that fails; its two relations' compositions
+    # differ in w0 and w1, and w0 is the smaller by repr
+    rep = validate_mdm(M)
+    assert not rep.passed("C1") and rep.passed("C2") and rep.passed("C3")
+    assert rep.check("C1").witness == ("w3", "w0")
+    with pytest.raises(ModelError, match=r"^not a valid decision model: C1 fails at \('w3', 'w0'\)$"):
+        mdm_to_mcm(M)
+    # lifting along a quotient: class 1 shares an old block with class 0 and
+    # one with class 2, but classes 0 and 2 share none
+    from plc.models import _lift_partition
+
+    with pytest.raises(
+        ModelError,
+        match=r"^quotient of the relation is not an equivalence relation; "
+        "the model cannot be normalized as a whole$",
+    ):
+        _lift_partition({0: 0, 1: 0, 2: 1, 3: 1}, [[0], [1, 2], [3]], "the relation")
+    blocks, index = _lift_partition({0: 0, 1: 0, 2: 1, 3: 1}, [[0, 1], [2], [3]], "the relation")
+    assert blocks == [frozenset({0}), frozenset({1, 2})]
+    assert index == {0: 0, 1: 1, 2: 1}
+
+
 def test_grid_images_validate(ex_model):
     rng = random.Random(4)
     for _ in range(25):

@@ -182,3 +182,101 @@ def test_all_terms_count_and_order():
 def test_size():
     assert size(Atom("p")) == 1
     assert size(And(Atom("p"), Not(Atom("q")))) == 4
+
+
+def _values():
+    """One instance of every node class, plus a signature and a term."""
+    p, q = Atom("p"), Atom("q")
+    return [
+        p,
+        Dec("1"),
+        Top(),
+        Not(p),
+        And(p, Not(q)),
+        BoxI(p),
+        BoxF(Dec("0")),
+        CP(("q", "p", "q"), q),
+        Dyn(Dec("1"), BoxF(Not(And(p, Top())))),
+        Signature(("p", "q"), ("0", "1")),
+        Term(frozenset({"p"}), frozenset({"q"})),
+    ]
+
+
+def test_value_reprs():
+    assert [repr(v) for v in _values()] == [
+        "Atom('p')",
+        "Dec('1')",
+        "Top()",
+        "Not(Atom('p'))",
+        "And(Atom('p'), Not(Atom('q')))",
+        "BoxI(Atom('p'))",
+        "BoxF(Dec('0'))",
+        "CP(('p', 'q'), Atom('q'))",
+        "Dyn(Dec('1'), BoxF(Not(And(Atom('p'), Top()))))",
+        "Signature(atoms=('p', 'q'), values=('0', '1'))",
+        "Term(pos=frozenset({'p'}), neg=frozenset({'q'}))",
+    ]
+
+
+def test_values_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    for v in _values():
+        for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert back == v and hash(back) == hash(v) and type(back) is type(v)
+    sig = pickle.loads(pickle.dumps(Signature(("p", "q"), ("0", "1"))))
+    assert sig.atom_index("q") == 1
+
+
+def test_values_pickled_under_another_hash_seed_work_as_keys():
+    # a value pickled in a process with another string-hash seed is rebuilt
+    # here, so its hash is this process's and dict lookups find it
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    code = (
+        "import pickle, sys\n"
+        "from plc import And, Atom, CP, Not, Signature, Term\n"
+        "vals = [And(Atom('p'), Not(Atom('q'))), CP(('q', 'p'), Atom('r')),\n"
+        "        Signature(('p', 'q'), ('0', '1')), Term(frozenset({'p'}), frozenset({'q'}))]\n"
+        "sys.stdout.buffer.write(pickle.dumps(vals))\n"
+    )
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        vals = pickle.loads(done.stdout)
+        table = {v: i for i, v in enumerate(vals)}
+        mine = [And(Atom("p"), Not(Atom("q"))), CP(("p", "q"), Atom("r")),
+                Signature(("p", "q"), ("0", "1")), Term(frozenset({"p"}), frozenset({"q"}))]
+        assert [table[v] for v in mine] == [0, 1, 2, 3]
+
+
+def test_values_are_immutable():
+    for v in _values():
+        for name in (*type(v)._fields, "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+    sig = Signature(("p",), ("0", "1"))
+    with pytest.raises(AttributeError):
+        sig._atom_pos = {}
+
+
+def test_structural_equality_and_hash():
+    def build():
+        return Dyn(Atom("p"), CP(("r", "q"), And(BoxI(Dec("1")), Not(Top()))))
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert BoxI(Atom("p")) != BoxF(Atom("p"))
+    assert Atom("p") != Dec("p") and Not(Atom("p")) != Not(Atom("q"))
+    assert CP(("q", "p", "p"), Top()) == CP(("p", "q"), Top())
+    assert Signature(("p",), ("0", "1")) != Signature(("p",), ("1", "0"))
+    assert Term(frozenset({"p"}), frozenset()) != Term(frozenset(), frozenset({"p"}))
+    assert Atom("p") != "p" and Term(frozenset(), frozenset()) != Top()
