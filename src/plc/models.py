@@ -8,7 +8,7 @@ import itertools
 import warnings
 from typing import Iterable, Mapping, Sequence
 
-from .semantics import extension_mask, grid_extension
+from .semantics import _mcm_extension, grid_extension
 from .syntax import (
     BoxI,
     Formula,
@@ -68,11 +68,12 @@ class ClassifierFn:
     Equality and hashing are by table only; the name is a label.
     """
 
+    __slots__ = ("name", "_table", "_hash")
+
     def __init__(self, name: str, table: Mapping[State, str]):
         self.name = name
         self._table = {frozenset(s): v for s, v in table.items()}
-        self._items = tuple(sorted(self._table.items(), key=lambda kv: tuple(sorted(kv[0]))))
-        self._hash = hash(self._items)
+        self._hash = hash(frozenset(self._table.items()))
 
     def __call__(self, state: State) -> str:
         try:
@@ -81,7 +82,8 @@ class ClassifierFn:
             raise ModelError(f"state {set(state) or '{}'} outside the domain of {self.name}") from None
 
     def items(self) -> tuple[tuple[State, str], ...]:
-        return self._items
+        """The cells, ordered by each state's sorted atom names."""
+        return tuple(sorted(self._table.items(), key=lambda kv: sorted(kv[0])))
 
     @property
     def table(self) -> dict[State, str]:
@@ -91,7 +93,11 @@ class ClassifierFn:
         return ClassifierFn(name, self._table)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ClassifierFn) and self._items == other._items
+        return (
+            isinstance(other, ClassifierFn)
+            and self._hash == other._hash
+            and self._table == other._table
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -141,7 +147,7 @@ class MCM:
             raise ModelError("duplicate function names")
         self.functions: tuple[ClassifierFn, ...] = tuple(sorted(fns, key=lambda f: f.name))
         self.inconsistent = inconsistent
-        self._ext_cache: dict[Formula, int] = {}
+        self._ext_cache: dict[Formula | int, int] = {}  # masks by formula and by value
         self._term_cache: dict[tuple[int, int], Term] = {}  # explain's terms by (pos, neg) mask
         self._key_cache: tuple | None = None
 
@@ -302,7 +308,7 @@ def update_mcm(mcm: MCM, phi: Formula) -> MCM:
     """
     if mcm.inconsistent:
         raise ModelError("cannot update a model whose classifier set is empty")
-    ext = extension_mask(mcm, phi)
+    ext = _mcm_extension(mcm, phi, dict(mcm._ext_cache))  # adds nothing to the cache
     nf = len(mcm.functions)
     col = ((1 << (len(mcm.states) * nf)) - 1) // ((1 << nf) - 1)  # classifier 0's points
     survivors = [f for fi, f in enumerate(mcm.functions) if ext >> fi & col == col]

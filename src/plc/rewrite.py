@@ -18,6 +18,7 @@ from .syntax import (
     Not,
     Top,
     _expand_cp_ordered,
+    is_static,
     size,
 )
 
@@ -27,12 +28,12 @@ def simplify(phi: Formula) -> Formula:
 
     The output is equivalent to the input on every pointed model.
     """
-    memo: dict[int, Formula] = {}
+    memo: dict[Formula, Formula] = {}
     top = Top()
     bot = Not(top)
 
     def rec(f: Formula) -> Formula:
-        got = memo.get(id(f))
+        got = memo.get(f)
         if got is not None:
             return got
         if isinstance(f, Not):
@@ -66,7 +67,7 @@ def simplify(phi: Formula) -> Formula:
             out = top if s == top else Dyn(a, s)
         else:
             out = f
-        memo[id(f)] = out
+        memo[f] = out
         return out
 
     try:
@@ -105,26 +106,6 @@ def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
         del rec  # free the self-referencing closure and the meter now
 
 
-def _dyn_scope_total(phi: Formula) -> int:
-    """Sum over update nodes of the size of their scope (the rewrite measure)."""
-    total = 0
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, And):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, (BoxI, BoxF, CP)):
-            stack.append(f.sub)
-        elif isinstance(f, Dyn):
-            total += size(f.sub)
-            stack.append(f.announced)
-            stack.append(f.sub)
-    return total
-
-
 def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     """Eliminate every update operator through its six reduction laws.
 
@@ -132,58 +113,91 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     boxes, atoms and decision atoms; a ceteris-paribus modality in the scope
     is expanded before the push.  Each law application strictly shrinks the
     scope measure (checked); the result contains no update node.
+
+    Sizes and pushes are memoized per call, keyed by the formulas, so the
+    work is linear in the distinct (announcement, scope) pairs, and an
+    update-free subtree is returned as it is.  The budget is charged as if
+    nothing were memoized: a repeated push spends again the units its first
+    computation spent, so whether the budget is exceeded does not depend on
+    the memo.
     """
     meter = BudgetMeter(max_nodes or DEFAULT_REWRITE_NODES, "update reduction")
+    sizes: dict[Formula, int] = {}
+    pushed: dict[tuple[Formula, Formula], tuple[Formula, int]] = {}
+
+    def size_of(f: Formula) -> int:
+        n = sizes.get(f)
+        if n is None:
+            if isinstance(f, (Not, BoxI, BoxF, CP)):
+                n = 1 + size_of(f.sub)
+            elif isinstance(f, And):
+                n = 1 + size_of(f.left) + size_of(f.right)
+            elif isinstance(f, Dyn):
+                n = 1 + size_of(f.announced) + size_of(f.sub)
+            else:
+                n = 1
+            sizes[f] = n
+        return n
 
     def push(ann: Formula, scope: Formula) -> Formula:
         # `ann` and `scope` are already update-free
-        guard = BoxI(ann)
-        before = size(scope)
-        if isinstance(scope, (Atom, Dec, Top)):
-            out = Implies(guard, scope)
-            residual = 0
-        elif isinstance(scope, Not):
-            out = Implies(guard, Not(push(ann, scope.sub)))
-            residual = size(scope.sub)
-        elif isinstance(scope, And):
-            out = And(push(ann, scope.left), push(ann, scope.right))
-            residual = size(scope.left) + size(scope.right)
-        elif isinstance(scope, BoxI):
-            out = Implies(guard, BoxI(push(ann, scope.sub)))
-            residual = size(scope.sub)
-        elif isinstance(scope, BoxF):
-            out = Implies(guard, BoxF(push(ann, scope.sub)))
-            residual = size(scope.sub)
-        elif isinstance(scope, CP):
+        hit = pushed.get((ann, scope))
+        if hit is not None:
+            meter.spend(hit[1])
+            return hit[0]
+        start = meter.used
+        if isinstance(scope, CP):
             expanded = _expand_cp_ordered(scope.atoms, scope.sub)
-            meter.spend(size(expanded))
-            return push(ann, expanded)
+            meter.spend(size_of(expanded))
+            out = push(ann, expanded)
         else:
-            raise RuntimeError(f"internal error: update operator in a reduced scope: {scope!r}")
-        if residual >= before:
-            raise RuntimeError("internal error: reduction law failed to shrink the scope measure")
-        meter.spend(size(out) if residual == 0 else before)
+            guard = BoxI(ann)
+            before = size_of(scope)
+            if isinstance(scope, (Atom, Dec, Top)):
+                out = Implies(guard, scope)
+                residual = 0
+            elif isinstance(scope, Not):
+                out = Implies(guard, Not(push(ann, scope.sub)))
+                residual = size_of(scope.sub)
+            elif isinstance(scope, And):
+                out = And(push(ann, scope.left), push(ann, scope.right))
+                residual = size_of(scope.left) + size_of(scope.right)
+            elif isinstance(scope, BoxI):
+                out = Implies(guard, BoxI(push(ann, scope.sub)))
+                residual = size_of(scope.sub)
+            elif isinstance(scope, BoxF):
+                out = Implies(guard, BoxF(push(ann, scope.sub)))
+                residual = size_of(scope.sub)
+            else:
+                raise RuntimeError(f"internal error: update operator in a reduced scope: {scope!r}")
+            if residual >= before:
+                raise RuntimeError(
+                    "internal error: reduction law failed to shrink the scope measure"
+                )
+            meter.spend(size_of(out) if residual == 0 else before)
+        pushed[ann, scope] = out, meter.used - start
         return out
 
     def rec(f: Formula) -> Formula:
-        if isinstance(f, Not):
-            return Not(rec(f.sub))
+        if isinstance(f, (Not, BoxI, BoxF)):
+            s = rec(f.sub)
+            return f if s is f.sub else type(f)(s)
         if isinstance(f, And):
-            return And(rec(f.left), rec(f.right))
-        if isinstance(f, BoxI):
-            return BoxI(rec(f.sub))
-        if isinstance(f, BoxF):
-            return BoxF(rec(f.sub))
+            l, r = rec(f.left), rec(f.right)
+            return f if l is f.left and r is f.right else And(l, r)
         if isinstance(f, CP):
-            return CP(f.atoms, rec(f.sub))
+            s = rec(f.sub)
+            return f if s is f.sub else CP(f.atoms, s)
         if isinstance(f, Dyn):
-            return push(rec(f.announced), rec(f.sub))
+            a = rec(f.announced)
+            size_of(a)  # sized here, where the stack is shallower than in the push
+            return push(a, rec(f.sub))
         return f
 
     try:
         out = rec(phi)
     finally:
-        del push, rec  # free the self-referencing closures and the meter now
-    if _dyn_scope_total(out) != 0:
+        del size_of, push, rec  # free the self-referencing closures and the memos now
+    if not is_static(out):
         raise RuntimeError("internal error: update operator left after reduction")
     return out

@@ -9,8 +9,10 @@ the rows, computed by shifts; a multi-classifier model is such a grid, and
 so is constraint mode's batch of candidate classifiers, each column a model
 of its own.  An update `[! a] s` is evaluated inside the grid: `s` is
 evaluated with only the classifier columns where `a` holds globally left
-live, so no updated model is built.  Each model caches the extensions of
-the formulas asked about and of their atoms.
+live, so no updated model is built.  Each model caches what
+`extension_mask` is asked and its leaf masks (atoms and decision atoms,
+the latter all read off the classifier tables in one pass), and keeps one
+int per distinct mask; `update_mcm` adds nothing to the cache.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ def _extension(
     agreeing on it; without it, ceteris-paribus and update operators raise
     EvalError.  Bits outside the live mask are never read.
     """
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[Formula, int], int] = {}
 
     def rec(f: Formula, live: int) -> int:
-        key = (id(f), live)
+        key = (f, live)
         got = memo.get(key)
         if got is not None:
             return got
@@ -161,29 +163,40 @@ def grid_extension(
 
 
 def extension_mask(mcm: MCM, phi: Formula) -> int:
-    """Bitmask of the points satisfying phi, state-major (bit = si*nf + fi)."""
+    """Bitmask of the points satisfying phi, state-major (bit = si*nf + fi).
+
+    The result and the leaf masks are cached in the model.  The cache also
+    maps each mask to itself, so that equivalent formulas (an update and its
+    reduction, say) share one int.
+    """
+    cache = mcm._ext_cache
+    hit = cache.get(phi)
+    if hit is None:
+        mask = _mcm_extension(mcm, phi, cache)
+        hit = cache[phi] = cache.setdefault(mask, mask)
+    return hit
+
+
+def _mcm_extension(mcm: MCM, phi: Formula, leaves: dict[Formula, int]) -> int:
+    """`extension_mask` without its cache: the leaf masks are read from and
+    written to `leaves`, and phi's mask is returned, not stored."""
     if mcm.inconsistent:
         raise EvalError(
             "the model carries the inconsistent-knowledge marker (no classifiers)"
         )
-    hit = mcm._ext_cache.get(phi)
-    if hit is not None:
-        return hit
-    nf = len(mcm.functions)
+    states, functions = mcm.states, mcm.functions
 
     def dec(value: str) -> int:
-        return sum(
-            1 << (si * nf + fi)
-            for si, s in enumerate(mcm.states)
-            for fi, fn in enumerate(mcm.functions)
-            if fn(s) == value
-        )
+        # every value's mask from one read of the cells, most significant
+        # bit (last state, last classifier) first
+        cells = [fn._table[s] for s in reversed(states) for fn in reversed(functions)]
+        for v in mcm.sig.values:
+            leaves[Dec(v)] = int("".join(["1" if c == v else "0" for c in cells]), 2)
+        return leaves[Dec(value)]
 
-    result = grid_extension(
-        phi, mcm.sig, mcm.state_masks, nf, dec, singleton=False, cache=mcm._ext_cache
+    return grid_extension(
+        phi, mcm.sig, mcm.state_masks, len(functions), dec, singleton=False, cache=leaves
     )
-    mcm._ext_cache[phi] = result
-    return result
 
 
 def check_mcm(point: PointedMCM, phi: Formula) -> bool:

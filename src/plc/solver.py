@@ -190,7 +190,7 @@ def _oracle_search_points(phi, apos, values, cols, rows) -> tuple[int, int] | No
     memo: dict[tuple, bool] = {}
 
     def ev(f: Formula, j: int, i: int) -> bool:
-        key = (id(f), j, i)
+        key = (f, j, i)
         got = memo.get(key)
         if got is not None:
             return got

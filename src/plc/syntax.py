@@ -25,7 +25,8 @@ class Frozen:
     """Immutable value with structural equality over the fields in `_fields`.
 
     The hash is computed once, from the class name and the fields, when the
-    value is built.  Pickling and copying rebuild the value through its
+    value is built (atoms and decision atoms compute theirs when asked, see
+    `_Leaf`).  Pickling and copying rebuild the value through its
     constructor, so the receiving process recomputes the hash.
     """
 
@@ -123,16 +124,41 @@ class Formula(Frozen):
         return render_formula(self)
 
 
-class Atom(Formula):
+class _Leaf(Formula):
+    """A node whose one field is a string, which stores no hash.
+
+    Its hash is computed when asked, from its class name and the string,
+    which caches its own.  Atoms and decision atoms are the most numerous
+    nodes, so a formula kept alive holds one int less for each.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, text: str) -> None:
+        object.__setattr__(self, self._fields[0], text)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return getattr(self, self._fields[0]) == getattr(other, self._fields[0])
+
+
+class Atom(_Leaf):
     __slots__ = _fields = ("name",)
     name: str
 
+    def __hash__(self) -> int:
+        return hash(("Atom", self.name))
 
-class Dec(Formula):
+
+class Dec(_Leaf):
     """Decision atom: the current classifier outputs this value here."""
 
     __slots__ = _fields = ("value",)
     value: str
+
+    def __hash__(self) -> int:
+        return hash(("Dec", self.value))
 
 
 class Top(Formula):

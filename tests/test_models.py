@@ -428,3 +428,30 @@ def test_generated_submodel_restricts_to_component():
     )
     sub = generated_submodel(M, "a")
     assert set(sub.worlds) == {"a", "b"}
+
+
+def test_classifier_tables_compare_by_content_in_a_pinned_order():
+    e, p, pq, q = frozenset(), frozenset({"p"}), frozenset({"p", "q"}), frozenset({"q"})
+    f = ClassifierFn("f", {pq: "1", e: "0", q: "1", p: "0"})
+    g = ClassifierFn("g", {p: "0", q: "1", e: "0", pq: "1"})
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != ClassifierFn("f", {pq: "0", e: "0", q: "1", p: "0"})
+    # by each state's sorted atom names, whatever the insertion order
+    assert f.items() == g.items() == ((e, "0"), (p, "0"), (pq, "1"), (q, "1"))
+
+
+def test_dump_of_the_paper_example_is_pinned(ex_model, s1):
+    import hashlib
+
+    from plc.modelio import dumps_mcm
+
+    text = dumps_mcm(ex_model, ex_model.point(s1, "f3"))
+    assert text.startswith(
+        "val: 0 1\natoms: si or cl an\nstates: all\nfunctions:\n"
+        "f0: {}=0; {si}=0; {or}=0; {si,or}=0; {cl}=0; {si,cl}=0; {or,cl}=0; {si,or,cl}=0; "
+        "{an}=0; {si,an}=0; {or,an}=0; {si,or,an}=0; {cl,an}=0; {si,cl,an}=0; {or,cl,an}=0; "
+        "{si,or,cl,an}=1\n"
+    )
+    assert text.endswith("point: state={si,or,an} function=f3\n")
+    digest = "16b5f293a86f1eb0b117498a6719e1d6debcce99e9bc4dbab40e6637eeaeabc3"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -11,6 +11,7 @@ from plc import (
     CP,
     Dec,
     Dyn,
+    Formula,
     Implies,
     Not,
     Signature,
@@ -23,7 +24,9 @@ from plc import (
     simplify,
     subformulas,
 )
+from plc.config import DEFAULT_REWRITE_NODES, BudgetMeter
 from plc.models import PointedMCM
+from plc.syntax import _expand_cp_ordered, size
 
 import helpers
 
@@ -96,6 +99,101 @@ def test_reduction_budget_guard():
     phi = Dyn(Atom("p"), CP(("p", "q", "r"), Dec("1")))
     with pytest.raises(BudgetExceeded):
         reduce_dynamic(phi, max_nodes=10)
+
+
+def _reference_reduce(phi, cap):
+    """The six reduction laws as a plain recursion, without memos: each
+    application charges the output size at a leaf and the scope size above,
+    and a ceteris-paribus scope charges its expansion."""
+    meter = BudgetMeter(cap, "update reduction")
+
+    def push(ann, scope):
+        guard = BoxI(ann)
+        if isinstance(scope, (Atom, Dec, Top)):
+            out = Implies(guard, scope)
+            meter.spend(size(out))
+            return out
+        if isinstance(scope, CP):
+            expanded = _expand_cp_ordered(scope.atoms, scope.sub)
+            meter.spend(size(expanded))
+            return push(ann, expanded)
+        if isinstance(scope, And):
+            out = And(push(ann, scope.left), push(ann, scope.right))
+        else:
+            wrap = type(scope) if isinstance(scope, (BoxI, BoxF)) else Not
+            out = Implies(guard, wrap(push(ann, scope.sub)))
+        meter.spend(size(scope))
+        return out
+
+    def rec(f):
+        if isinstance(f, (Not, BoxI, BoxF)):
+            return type(f)(rec(f.sub))
+        if isinstance(f, And):
+            return And(rec(f.left), rec(f.right))
+        if isinstance(f, CP):
+            return CP(f.atoms, rec(f.sub))
+        if isinstance(f, Dyn):
+            return push(rec(f.announced), rec(f.sub))
+        return f
+
+    return rec(phi)
+
+
+def _dag(phi):
+    """The formula's distinct subformulas, numbered in post-order, each as
+    its class name and fields with children replaced by their numbers."""
+    number: dict = {}
+    nodes: list[tuple] = []
+    stack = [(phi, False)]
+    while stack:
+        f, ready = stack.pop()
+        if f in number:
+            continue
+        fields = [getattr(f, name) for name in f._fields]
+        if not ready:
+            stack.append((f, True))
+            stack.extend((x, False) for x in fields if isinstance(x, Formula))
+            continue
+        number[f] = len(nodes)
+        nodes.append(
+            (type(f).__name__, *(number[x] if isinstance(x, Formula) else x for x in fields))
+        )
+    return nodes
+
+
+def _random_dynamic(rng, depth):
+    """A formula with updates nested in scopes and announcements, and
+    ceteris-paribus modalities anywhere."""
+    if depth <= 0 or rng.random() < 0.25:
+        r = rng.random()
+        return Atom(rng.choice("pqr")) if r < 0.6 else Dec(rng.choice("01")) if r < 0.9 else Top()
+    op = rng.choice(("not", "and", "and", "boxI", "boxF", "cp", "dyn", "dyn"))
+    if op == "and":
+        return And(_random_dynamic(rng, depth - 1), _random_dynamic(rng, depth - 1))
+    if op == "cp":
+        return CP(rng.sample("pqr", rng.randint(1, 2)), _random_dynamic(rng, depth - 1))
+    if op == "dyn":
+        return Dyn(_random_dynamic(rng, depth - 2), _random_dynamic(rng, depth - 1))
+    return {"not": Not, "boxI": BoxI, "boxF": BoxF}[op](_random_dynamic(rng, depth - 1))
+
+
+def test_reduction_matches_the_plain_recursion_and_its_budget():
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(1000):
+        phi = _random_dynamic(rng, rng.randint(3, 6))
+        for cap in (50, 500, 5000, None):
+            try:
+                want = _dag(_reference_reduce(phi, cap or DEFAULT_REWRITE_NODES))
+            except BudgetExceeded:
+                want = None
+            try:
+                got = _dag(reduce_dynamic(phi, max_nodes=cap))
+            except BudgetExceeded:
+                got = None
+            assert got == want, (phi, cap)
+            raised += want is None
+    assert 0 < raised < 4000  # both outcomes occur
 
 
 def test_simplify_examples():

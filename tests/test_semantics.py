@@ -288,3 +288,52 @@ def test_validity_path_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("ns, nf", [(6, 5), (1, 3), (5, 1), (1, 1)])
+def test_decision_masks_match_the_classifiers_at_every_point(ns, nf):
+    from plc import MCM, ClassifierFn
+    from plc.semantics import extension_mask
+
+    sig = Signature(("p", "q", "r"), ("lo", "mid", "hi"))
+    rng = random.Random(ns * 10 + nf)
+    states = rng.sample(helpers.all_states(sig), ns)
+    tables = set()
+    while len(tables) < nf:
+        tables.add(tuple(rng.choice(sig.values) for _ in states))
+    fns = [ClassifierFn(f"f{i}", dict(zip(states, t))) for i, t in enumerate(tables)]
+    m = MCM(sig, states, fns)
+    for v in sig.values:
+        want = sum(
+            1 << (si * nf + fi)
+            for si, s in enumerate(m.states)
+            for fi, f in enumerate(m.functions)
+            if f(s) == v
+        )
+        assert extension_mask(m, Dec(v)) == want
+    # every point outputs exactly one value
+    masks = [extension_mask(m, Dec(v)) for v in sig.values]
+    assert sum(masks) == (1 << (ns * nf)) - 1
+    assert all(a & b == 0 for i, a in enumerate(masks) for b in masks[i + 1 :])
+
+
+def test_update_adds_nothing_to_the_source_models_cache():
+    from plc import update_mcm
+    from plc.rewrite import reduce_dynamic
+    from plc.semantics import extension_mask
+
+    rng = random.Random(12)
+    for fresh in (True, False):
+        m = helpers.random_mcm(rng, max_states=6, max_functions=6)
+        if not fresh:
+            extension_mask(m, parse_formula("boxF =1 & p", m.sig))
+        before = dict(m._ext_cache)
+        ann = Implies(Atom(m.sig.atoms[0]), Dec("1"))
+        updated = update_mcm(m, ann)
+        assert m._ext_cache == before
+        # the update keeps the classifiers where the announcement holds globally
+        glob = extension_mask(m, BoxI(ann))
+        assert updated.functions == tuple(f for fi, f in enumerate(m.functions) if glob >> fi & 1)
+        # an update and its reduction share one cached mask
+        phi = Dyn(ann, BoxF(Dec("1")))
+        assert extension_mask(m, reduce_dynamic(phi)) is extension_mask(m, phi)
