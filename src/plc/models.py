@@ -1,5 +1,8 @@
 """Multi-classifier models, two-relation decision models, and the
-transformations between them (building, updating, validating, quotienting).
+transformations between them: building, updating, validating, and reading a
+decision model off as a classifier model.  That read-off accepts a model
+only when the map it defines preserves truth, which every connected (for
+instance, generated) valid decision model satisfies.
 """
 
 from __future__ import annotations
@@ -540,69 +543,29 @@ def generated_submodel(M: QuasiMDM, w0) -> QuasiMDM:
     return type(M)(M.sig, worlds, val, rel_i, rel_f)
 
 
-def _lift_partition(
-    base_index: dict, classes: list[list], label: str
-) -> tuple[list[frozenset], dict]:
-    """Existential lift of a partition along a quotient map.
-
-    `base_index` maps old items to their old block id; `classes` lists the new
-    classes as lists of old items.  The lifted relation must again be an
-    equivalence (it is, for models satisfying the constraints); otherwise the
-    quotient is rejected.
-    """
-    touched: dict[int, set[int]] = {}
-    for ci, members in enumerate(classes):
-        for m in members:
-            touched.setdefault(base_index[m], set()).add(ci)
-    # connected components of the co-touch graph
-    parent = list(range(len(classes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    groups_of: list[list[set[int]]] = [[] for _ in classes]
-    for group in touched.values():
-        first = min(group)
-        for a in group:
-            groups_of[a].append(group)
-            union(first, a)
-    blocks: dict[int, list[int]] = {}
-    for ci in range(len(classes)):
-        blocks.setdefault(find(ci), []).append(ci)
-    # the existential relation must already be transitive: every class is
-    # related to its whole component, i.e. its groups cover the component
-    for ci, groups in enumerate(groups_of):
-        size = len(blocks[find(ci)])
-        if all(len(g) < size for g in groups) and len(set().union(*groups)) < size:
-            raise ModelError(
-                f"quotient of {label} is not an equivalence relation; "
-                "the model cannot be normalized as a whole"
-            )
-    out = [frozenset(members) for members in blocks.values()]
-    new_index = {}
-    for bi, members in enumerate(out):
-        for ci in members:
-            new_index[ci] = bi
-    return out, new_index
+_DISCONNECTED = (
+    "incomplete grid (disconnected model); take the generated "
+    "submodel of a designated world first"
+)
 
 
 def mdm_to_mcm(M: QuasiMDM) -> tuple[MCM, dict]:
-    """Collapse a valid decision model to a multi-classifier model.
+    """Read a valid decision model off as a multi-classifier model.
 
-    First merges equal-valuation worlds inside each classifier row, then
-    merges classifier rows that induce the same function, and finally reads
-    the surviving grid off as a model.  Returns the model and a map sending
-    each original world to its (state, function) point.  Raises ModelError if
-    the constraints fail or the quotient does not form a complete grid (which
-    can only happen for disconnected inputs).
+    Each classifier block of `relI` stands for the function sending its
+    worlds' input valuations to their decisions (well defined by C2); the
+    states are the distinct input valuations, equal functions merge and are
+    named g0, g1, ... in the order of their value tuples (states ordered by
+    their sorted atom names, values compared as strings).  A world maps to
+    its valuation under its block's function.  Returns the model and that
+    world-to-point map.
+
+    The model is accepted only when the map is a bounded morphism, so that
+    every world agrees with its image on every static formula: every block's
+    function must be defined at every state, and every instance block of
+    `relF` must meet a block of every function.  Under C1 a connected model
+    passes both checks, so the generated submodel of any world does.  Raises
+    ModelError if C1-C5 fail or the checks do.
     """
     report = validate_mdm(M)
     bad = [n for n in ("C1", "C2", "C3", "C4", "C5") if not report.passed(n)]
@@ -612,114 +575,20 @@ def mdm_to_mcm(M: QuasiMDM) -> tuple[MCM, dict]:
         )
         raise ModelError(f"not a valid decision model: {details}")
 
-    # Quotient 1: merge worlds with equal valuation within one classifier row.
-    block_of: dict = {}
-    blocks1: list[list] = []
-    keys: dict[tuple, int] = {}
-    for w in M.worlds:
-        k = (M.i_index(w), M.valuation[w])
-        if k not in keys:
-            keys[k] = len(blocks1)
-            blocks1.append([])
-        bi = keys[k]
-        blocks1[bi].append(w)
-        block_of[w] = bi
-    n1 = len(blocks1)
-    i1_of = {bi: M.i_index(blocks1[bi][0]) for bi in range(n1)}
-    val1 = {bi: M.valuation[blocks1[bi][0]] for bi in range(n1)}
-    rel_f1_blocks, f1_of = _lift_partition(
-        {w: M.f_index(w) for w in M.worlds},
-        blocks1,
-        "the instance relation",
-    )
-
-    # Quotient 2: merge rows that induce the same function, instance-wise.
-    # By C2 each row maps input valuations to decisions; two rows are
-    # compatible iff their maps agree wherever both are defined.
-    row_dec: dict[int, dict[State, str]] = {}
-    same_input: dict[State, list[int]] = {}
-    for bi in range(n1):
-        atoms, dec = val1[bi]
-        row_dec.setdefault(i1_of[bi], {})[atoms] = dec
-        same_input.setdefault(atoms, []).append(bi)
-    compat: dict[tuple[int, int], bool] = {}
-
-    def similar(a: int) -> list[int]:
-        out = []
-        for b in same_input[val1[a][0]]:
-            k = (i1_of[a], i1_of[b])
-            if k not in compat:
-                rb = row_dec[k[1]]
-                compat[k] = all(rb.get(v, d) == d for v, d in row_dec[k[0]].items())
-            if compat[k]:
-                out.append(b)
-        return out
-
-    # group into classes; verify transitivity of the merge relation
-    class_of: dict[int, int] = {}
-    classes2: list[list[int]] = []
-    for a in range(n1):
-        if a in class_of:
-            continue
-        members = similar(a)
-        member_set = set(members)
-        for m in members:
-            if set(similar(m)) != member_set:
-                raise ModelError(
-                    "duplicate-classifier merge is not an equivalence; "
-                    "the model cannot be normalized as a whole"
-                )
-        ci = len(classes2)
-        classes2.append(members)
-        for m in members:
-            class_of[m] = ci
-    rel_i2_blocks, i2_of = _lift_partition(i1_of, classes2, "the classifier relation")
-    rel_f2_blocks, f2_of = _lift_partition(f1_of, classes2, "the instance relation")
-    val2 = {}
-    for ci, members in enumerate(classes2):
-        vals = {val1[m] for m in members}
-        if len(vals) != 1:
-            raise ModelError("merged worlds disagree on their valuation")
-        val2[ci] = val1[members[0]]
-
-    # Read the grid off: instance classes become states, classifier classes
-    # become functions.
-    state_of_f: dict[int, State] = {}
-    for fb, members in enumerate(rel_f2_blocks):
-        states = {val2[ci][0] for ci in members}
-        if len(states) != 1:
-            raise ModelError("an instance class carries two input valuations")
-        state_of_f[fb] = next(iter(states))
-    if len(set(state_of_f.values())) != len(state_of_f):
-        raise ModelError(
-            "two distinct instance classes share one input valuation; "
-            "the model is not isomorphic to a multi-classifier model"
-        )
-    cell: dict[tuple[int, int], int] = {}
-    for ci in range(len(classes2)):
-        k = (i2_of[ci], f2_of[ci])
-        if k in cell:
-            raise ModelError("grid read-off found a doubly-occupied cell")
-        cell[k] = ci
-    tables: list[dict[State, str]] = []
-    for ib in range(len(rel_i2_blocks)):
-        table: dict[State, str] = {}
-        for fb in range(len(rel_f2_blocks)):
-            if (ib, fb) not in cell:
-                raise ModelError(
-                    "incomplete grid (disconnected model); take the generated "
-                    "submodel of a designated world first"
-                )
-            table[state_of_f[fb]] = val2[cell[(ib, fb)]][1]
-        tables.append(table)
-    order = sorted(range(len(tables)), key=lambda i: tuple(sorted((tuple(sorted(s)), v) for s, v in tables[i].items())))
-    fns = [ClassifierFn(f"g{rank}", tables[ib]) for rank, ib in enumerate(order)]
-    if len(set(fns)) != len(fns):
-        raise ModelError("grid read-off produced duplicate functions")
-    mcm = MCM(M.sig, list(state_of_f.values()), fns)
-    fn_by_row = {ib: fns[rank] for rank, ib in enumerate(order)}
-    mapping = {}
-    for w in M.worlds:
-        ci = class_of[block_of[w]]
-        mapping[w] = (state_of_f[f2_of[ci]], fn_by_row[i2_of[ci]])
+    tables = [{M.atoms_val(w): M.dec_val(w) for w in block} for block in M.rel_i]
+    states = sorted({s for table in tables for s in table}, key=sorted)
+    if any(len(table) != len(states) for table in tables):
+        raise ModelError(_DISCONNECTED)
+    # every table covers the same states, so comparing value tuples in one
+    # state order compares the tables
+    keys = [tuple(table[s] for s in states) for table in tables]
+    ordered = sorted(set(keys))
+    rank = {k: r for r, k in enumerate(ordered)}
+    block_rank = [rank[k] for k in keys]
+    for block in M.rel_f:
+        if len({block_rank[M.i_index(w)] for w in block}) != len(ordered):
+            raise ModelError(_DISCONNECTED)
+    fns = [ClassifierFn(f"g{r}", dict(zip(states, k))) for r, k in enumerate(ordered)]
+    mcm = MCM(M.sig, states, fns)
+    mapping = {w: (M.atoms_val(w), fns[block_rank[M.i_index(w)]]) for w in M.worlds}
     return mcm, mapping

@@ -553,10 +553,7 @@ def filtrate(M: QuasiMDM, phi: Formula, w0) -> tuple[QuasiMDM, dict]:
     if bad:
         raise EvalError(f"filtration needs a valid quasi model; failing: {', '.join(bad)}")
     sub = generated_submodel(M, w0)
-    sf = sorted(
-        subformulas(phi, plus=True, sig=M.sig),
-        key=lambda f: (size(f), render_formula(f)),
-    )
+    sf = subformulas(phi, plus=True, sig=M.sig)
     truth = {f: mdm_extension_mask(sub, f) for f in sf}
     pos = {w: i for i, w in enumerate(sub.worlds)}
 

@@ -20,6 +20,7 @@ from plc import (
     Top,
     all_states,
     mcm_to_mdm,
+    validate_mdm,
 )
 from plc.syntax import And, BoxF, BoxI, Not
 
@@ -144,6 +145,32 @@ def random_quasi_grid(
         rel_i[i].add(w)
         rel_f[j].add(w)
     return QuasiMDM(sig, worlds, val, rel_i, rel_f)
+
+
+def tiny_quasi_models(sig, max_worlds):
+    """Every quasi decision model with up to max_worlds worlds, defects included."""
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for sub in partitions(rest):
+            for i in range(len(sub)):
+                yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+            yield [[first]] + sub
+
+    cube = all_states(sig)
+    for n in range(1, max_worlds + 1):
+        worlds = list(range(n))
+        for atoms in itertools.product(cube, repeat=n):
+            for decs in itertools.product(sig.values, repeat=n):
+                val = {w: (atoms[w], decs[w]) for w in worlds}
+                for part_i in partitions(worlds):
+                    for part_f in partitions(worlds):
+                        Q = QuasiMDM(sig, worlds, val, part_i, part_f)
+                        if validate_mdm(Q).ok_quasi:
+                            yield Q
 
 
 def exhaustive_formulas(sig: Signature, max_size: int):

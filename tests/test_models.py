@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ from plc import (
     all_states,
     build_mcm,
     check_mcm,
+    check_mdm,
     generated_submodel,
     mcm_to_mdm,
     mdm_to_mcm,
@@ -256,7 +258,7 @@ def test_validate_mdm_trivial_and_violations():
     assert set(rep.check("C3").witness) == {"w", "v"}
 
 
-def test_c1_witness_and_non_equivalence_lift():
+def test_c1_witness_is_pinned():
     sig = Signature(("p",), ("0", "1"))
     worlds = ["w3", "w2", "w1", "w0"]
     M = QuasiMDM(
@@ -273,19 +275,6 @@ def test_c1_witness_and_non_equivalence_lift():
     assert rep.check("C1").witness == ("w3", "w0")
     with pytest.raises(ModelError, match=r"^not a valid decision model: C1 fails at \('w3', 'w0'\)$"):
         mdm_to_mcm(M)
-    # lifting along a quotient: class 1 shares an old block with class 0 and
-    # one with class 2, but classes 0 and 2 share none
-    from plc.models import _lift_partition
-
-    with pytest.raises(
-        ModelError,
-        match=r"^quotient of the relation is not an equivalence relation; "
-        "the model cannot be normalized as a whole$",
-    ):
-        _lift_partition({0: 0, 1: 0, 2: 1, 3: 1}, [[0], [1, 2], [3]], "the relation")
-    blocks, index = _lift_partition({0: 0, 1: 0, 2: 1, 3: 1}, [[0, 1], [2], [3]], "the relation")
-    assert blocks == [frozenset({0}), frozenset({1, 2})]
-    assert index == {0: 0, 1: 1, 2: 1}
 
 
 def test_grid_images_validate(ex_model):
@@ -411,6 +400,70 @@ def test_disconnected_incompatible_model_is_rejected():
     assert validate_mdm(M).ok_mdm  # each constraint holds, but no grid exists
     with pytest.raises(ModelError):
         mdm_to_mcm(M)
+
+
+def test_read_off_that_would_change_truth_is_rejected(capsys, tmp_path):
+    # worlds 1 and 2 share an instance but not a classifier; world 0 is
+    # alone, so its instance meets only the function that outputs 0
+    sig = Signature(("p",), ("0", "1"))
+    M = QuasiMDM(
+        sig,
+        [0, 1, 2],
+        {0: (frozenset(), "0"), 1: (frozenset(), "0"), 2: (frozenset(), "1")},
+        [[0], [1], [2]],
+        [[0], [1, 2]],
+    )
+    rep = validate_mdm(M)
+    assert rep.ok_mdm and rep.ok_c6
+    message = (
+        "incomplete grid (disconnected model); take the generated submodel "
+        "of a designated world first"
+    )
+    # two functions would leave world 0's image with a neighbour =1 that
+    # world 0 lacks, turning boxF =0 false
+    with pytest.raises(ModelError, match=re.escape(message)):
+        mdm_to_mcm(M)
+    sub = generated_submodel(M, 0)
+    mcm, mapping = mdm_to_mcm(sub)
+    assert len(mcm.states) == 1 and len(mcm.functions) == 1
+    phi = parse_formula("boxF =0", sig)
+    s, f = mapping[0]
+    assert check_mdm(M, 0, phi) and check_mcm(PointedMCM(mcm, s, f), phi)
+
+    from plc.cli import main
+    from plc.modelio import dumps_mdm
+
+    path, out_path = tmp_path / "m.plc", tmp_path / "out.plc"
+    path.write_text(dumps_mdm(M, point=0))
+    code = main(["normalize", "-m", str(path), "-o", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_read_off_preserves_truth_on_every_tiny_decision_model():
+    """Every valid decision model with up to three worlds: an accepted
+    model's worlds agree with their images on every formula of up to four
+    nodes, and the generated submodel of any world is accepted."""
+    sig = Signature(("p",), ("0", "1"))
+    formulas = list(helpers.exhaustive_formulas(sig, 4))
+    assert len(formulas) == 320
+    models = [Q for Q in helpers.tiny_quasi_models(sig, 3) if validate_mdm(Q).passed("C2")]
+    assert len(models) == 504
+    accepted = 0
+    for M in models:
+        for w in M.worlds:
+            mdm_to_mcm(generated_submodel(M, w))
+        try:
+            mcm, mapping = mdm_to_mcm(M)
+        except ModelError:
+            continue
+        accepted += 1
+        for w in M.worlds:
+            point = PointedMCM(mcm, *mapping[w])
+            for phi in formulas:
+                assert check_mdm(M, w, phi) == check_mcm(point, phi), (M.valuation, w, phi)
+    assert accepted == 180  # of the 504; the other 324 are disconnected
 
 
 def test_generated_submodel_restricts_to_component():

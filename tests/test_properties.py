@@ -1,6 +1,5 @@
 """Cross-cutting property tests that tie several modules together."""
 
-import itertools
 import random
 import subprocess
 import sys
@@ -17,7 +16,6 @@ from plc import (
     Implies,
     MCM,
     Not,
-    QuasiMDM,
     Signature,
     all_states,
     check_mcm,
@@ -30,7 +28,6 @@ from plc import (
     sat_finite,
     sat_open,
     valid_in_mcm,
-    validate_mdm,
 )
 
 import helpers
@@ -61,38 +58,12 @@ def test_reduction_laws_are_valid_equivalences():
                 assert valid_in_mcm(m, law)
 
 
-def _tiny_quasi_models(sig, max_worlds):
-    """Every quasi decision model with up to max_worlds worlds, defects included."""
-
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for sub in partitions(rest):
-            for i in range(len(sub)):
-                yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-            yield [[first]] + sub
-
-    cube = all_states(sig)
-    for n in range(1, max_worlds + 1):
-        worlds = list(range(n))
-        for atoms in itertools.product(cube, repeat=n):
-            for decs in itertools.product(sig.values, repeat=n):
-                val = {w: (atoms[w], decs[w]) for w in worlds}
-                for part_i in partitions(worlds):
-                    for part_f in partitions(worlds):
-                        Q = QuasiMDM(sig, worlds, val, part_i, part_f)
-                        if validate_mdm(Q).ok_quasi:
-                            yield Q
-
-
 def test_open_mode_matches_quasi_enumeration_two_atoms():
     """The open-mode verdict equals brute-force quasi-model search, on a
     corpus over two atoms (the grid restriction loses nothing)."""
     rng = random.Random(32)
     sig = Signature(("p", "q"), ("0", "1"))
-    models = list(_tiny_quasi_models(sig, 2))
+    models = list(helpers.tiny_quasi_models(sig, 2))
     assert len(models) > 50
     for _ in range(40):
         phi = random_formula(rng, sig, 2)
