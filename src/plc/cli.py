@@ -200,11 +200,13 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_normalize(args) -> int:
     from .modelio import dumps_mcm, load_model
-    from .models import MCM, mdm_to_mcm
+    from .models import MCM, generated_submodel, mdm_to_mcm
 
     model, point = load_model(args.model)
     if isinstance(model, MCM):
         raise ValueError(f"{args.model} already holds a classifier model")
+    if point is not None:  # the designated world's truths live in its generated submodel
+        model = generated_submodel(model, point)
     mcm, mapping = mdm_to_mcm(model)
     out_point = None
     if point is not None:

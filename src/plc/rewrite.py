@@ -26,48 +26,55 @@ from .syntax import (
 def simplify(phi: Formula) -> Formula:
     """Cleanup: double negation, truth/falsity absorption, boxed constants.
 
-    The output is equivalent to the input on every pointed model.
+    The output is equivalent to the input on every pointed model.  Results
+    are memoized per call, keyed by the formulas, and a subtree whose
+    children come back unchanged is returned as it is.
     """
-    memo: dict[Formula, Formula] = {}
+    memo: dict[Formula, Formula | bool] = {}  # False: returned as it is
     top = Top()
     bot = Not(top)
 
+    def constant(f: Formula) -> bool:
+        return type(f) is Top or type(f) is Not and type(f.sub) is Top
+
     def rec(f: Formula) -> Formula:
+        if isinstance(f, (Atom, Dec, Top)):
+            return f
         got = memo.get(f)
-        if got is not None:
-            return got
+        if got is not None:  # f itself, not the equal subtree memoized first
+            return f if got is False else got
         if isinstance(f, Not):
             s = rec(f.sub)
             if isinstance(s, Not):
                 out = s.sub
             else:
-                out = Not(s)
+                out = f if s is f.sub else Not(s)
         elif isinstance(f, And):
             l, r = rec(f.left), rec(f.right)
-            if l == top:
+            if type(l) is Top:
                 out = r
-            elif r == top:
+            elif type(r) is Top:
                 out = l
-            elif l == bot or r == bot:
+            elif constant(l) or constant(r):
                 out = bot
             else:
-                out = And(l, r)
-        elif isinstance(f, BoxI):
+                out = f if l is f.left and r is f.right else And(l, r)
+        elif isinstance(f, (BoxI, BoxF)):
             s = rec(f.sub)
-            out = s if s in (top, bot) else BoxI(s)
-        elif isinstance(f, BoxF):
-            s = rec(f.sub)
-            out = s if s in (top, bot) else BoxF(s)
+            out = s if constant(s) else f if s is f.sub else type(f)(s)
         elif isinstance(f, CP):
             s = rec(f.sub)
-            out = s if s in (top, bot) else CP(f.atoms, s)
+            out = s if constant(s) else f if s is f.sub else CP(f.atoms, s)
         elif isinstance(f, Dyn):
             a = rec(f.announced)
             s = rec(f.sub)
-            out = top if s == top else Dyn(a, s)
+            if type(s) is Top:
+                out = top
+            else:
+                out = f if a is f.announced and s is f.sub else Dyn(a, s)
         else:
             out = f
-        memo[f] = out
+        memo[f] = False if out is f else out
         return out
 
     try:
@@ -79,31 +86,45 @@ def simplify(phi: Formula) -> Formula:
 def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     """Expand every ceteris-paribus modality into its boxed case split.
 
-    Exponential in the index-set sizes; guarded by a node budget.
+    Exponential in the index-set sizes; guarded by a node budget, charged
+    the size of each expansion.  Results are memoized per call, keyed by the
+    formulas, and a subtree without a ceteris-paribus modality is returned
+    as it is.  A repeated subtree spends again the units its first
+    computation spent, so the budget is charged as if nothing were
+    memoized.
     """
     meter = BudgetMeter(max_nodes or DEFAULT_REWRITE_NODES, "ceteris-paribus expansion")
+    memo: dict[Formula, tuple[Formula | None, int]] = {}  # None: returned as it is
 
     def rec(f: Formula) -> Formula:
-        if isinstance(f, Not):
-            return Not(rec(f.sub))
-        if isinstance(f, And):
-            return And(rec(f.left), rec(f.right))
-        if isinstance(f, BoxI):
-            return BoxI(rec(f.sub))
-        if isinstance(f, BoxF):
-            return BoxF(rec(f.sub))
-        if isinstance(f, CP):
-            expanded = _expand_cp_ordered(f.atoms, rec(f.sub))
-            meter.spend(size(expanded))
-            return expanded
-        if isinstance(f, Dyn):
-            return Dyn(rec(f.announced), rec(f.sub))
-        return f
+        if isinstance(f, (Atom, Dec, Top)):
+            return f
+        hit = memo.get(f)
+        if hit is not None:  # f itself, not the equal subtree memoized first
+            meter.spend(hit[1])
+            return f if hit[0] is None else hit[0]
+        start = meter.used
+        if isinstance(f, (Not, BoxI, BoxF)):
+            s = rec(f.sub)
+            out = f if s is f.sub else type(f)(s)
+        elif isinstance(f, And):
+            l, r = rec(f.left), rec(f.right)
+            out = f if l is f.left and r is f.right else And(l, r)
+        elif isinstance(f, CP):
+            out = _expand_cp_ordered(f.atoms, rec(f.sub))
+            meter.spend(size(out))
+        elif isinstance(f, Dyn):
+            a, s = rec(f.announced), rec(f.sub)
+            out = f if a is f.announced and s is f.sub else Dyn(a, s)
+        else:
+            out = f
+        memo[f] = (None if out is f else out), meter.used - start
+        return out
 
     try:
         return rec(phi)
     finally:
-        del rec  # free the self-referencing closure and the meter now
+        del rec  # free the self-referencing closure, the memo and the meter now
 
 
 def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:

@@ -14,8 +14,9 @@ Resource exhaustion raises BudgetExceeded; it is never reported as UNSAT.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .config import BudgetExceeded, BudgetMeter, search_budget
 from .models import (
@@ -27,7 +28,6 @@ from .models import (
     mask_state,
     validate_mdm,
 )
-from .parser import render_formula
 from .rewrite import cp_free, simplify
 from .semantics import EvalError, check_mcm, check_mdm, mdm_extension_mask
 from .syntax import (
@@ -37,21 +37,24 @@ from .syntax import (
     BoxF,
     BoxI,
     Dec,
+    Dyn,
     Formula,
     Not,
     Signature,
     Top,
-    atoms_of,
-    dec_values_of,
-    is_static,
-    size,
     subformulas,
-    validate_formula,
 )
 
 
 class Witness:
-    """A satisfying pointed model; re-checked on construction."""
+    """A satisfying pointed model; re-checked on construction.
+
+    An open-mode witness also gives `quasi`, the quasi decision model read
+    off the type search before fresh atoms were added, built anew on each
+    access by the function passed as `quasi`, and `quasi_world`, its world
+    where the formula holds.  A witness keeps neither that model nor the
+    masks of its re-check.
+    """
 
     def __init__(
         self,
@@ -60,7 +63,7 @@ class Witness:
         state: frozenset,
         function: ClassifierFn,
         formula: Formula,
-        quasi: QuasiMDM | None = None,
+        quasi: Callable[[], QuasiMDM] | None = None,
         quasi_world=None,
     ):
         self.mode = mode
@@ -68,12 +71,17 @@ class Witness:
         self.state = frozenset(state)
         self.function = function
         self.formula = formula
-        self.quasi = quasi
+        self._quasi = quasi
         self.quasi_world = quasi_world
         if not check_mcm(self.point, formula):
             raise RuntimeError("internal error: witness failed its re-check")
-        if quasi is not None and not check_mdm(quasi, quasi_world, cp_free(formula)):
+        if quasi is not None and not check_mdm(quasi(), quasi_world, cp_free(formula)):
             raise RuntimeError("internal error: quasi witness failed its re-check")
+        model._ext_cache.clear()
+
+    @property
+    def quasi(self) -> QuasiMDM | None:
+        return None if self._quasi is None else self._quasi()
 
     @property
     def point(self) -> PointedMCM:
@@ -83,9 +91,41 @@ class Witness:
         return f"Witness(mode={self.mode!r}, {self.model!r}, state={set(self.state) or '{}'}, function={self.function.name})"
 
 
-def _require_static(phi: Formula) -> None:
-    if not is_static(phi):
-        raise EvalError("reduce update operators before satisfiability checking")
+def _symbols(phi: Formula) -> tuple[set[str], set[str]]:
+    """The input atoms (ceteris-paribus index sets included) and decision
+    values of phi, from one scan of its subformulas.  Raises EvalError on an
+    update operator, which the engines here cannot evaluate."""
+    atoms: set[str] = set()
+    values: set[str] = set()
+    for f in subformulas(phi):
+        if isinstance(f, Atom):
+            atoms.add(f.name)
+        elif isinstance(f, Dec):
+            values.add(f.value)
+        elif isinstance(f, CP):
+            atoms.update(f.atoms)
+        elif isinstance(f, Dyn):
+            raise EvalError("reduce update operators before satisfiability checking")
+    return atoms, values
+
+
+def _require_declared(phi: Formula, sig: Signature) -> None:
+    """Check that phi is static (EvalError otherwise) and mentions only
+    declared atoms and values (SignatureError otherwise), in that order."""
+    atoms, values = _symbols(phi)
+    for a in sorted(atoms.difference(sig.atoms)):
+        sig.atom_index(a)
+    for v in sorted(values.difference(sig.values)):
+        sig.require_value(v)
+
+
+def _expanded(phi: Formula) -> Formula:
+    """The ceteris-paribus-free cleanup of phi that the type search reads.
+    simplify's output has nothing left to simplify, so the second pass runs
+    only where an expansion changed something."""
+    simple = simplify(phi)
+    free = cp_free(simple)
+    return simple if free is simple else simplify(free)
 
 
 def _grid_witness(
@@ -95,7 +135,7 @@ def _grid_witness(
     states: list,
     table: Sequence[Sequence[int]],
     point: tuple[int, int],
-    quasi: QuasiMDM | None = None,
+    quasi: Callable[[], QuasiMDM] | None = None,
 ) -> Witness:
     """The witness at `point` = (i, j): classifier f{i} at states[j], in the
     model whose classifier f{i} outputs sig.values[table[i][j]] at states[j].
@@ -124,10 +164,9 @@ def sat_finite(
     copy index spelled over the unused atoms.  The witness is the search's
     first, which is deterministic.
     """
-    _require_static(phi)
-    validate_formula(phi, sig)
-    phi_sys = simplify(cp_free(simplify(phi)))
-    used = atoms_of(phi_sys)
+    _require_declared(phi, sig)
+    phi_sys = _expanded(phi)
+    used = _symbols(phi_sys)[0]
     atoms = tuple(a for a in sig.atoms if a in used)
     spare = tuple(a for a in sig.atoms if a not in used)
     meter = BudgetMeter(search_budget(budget))
@@ -160,8 +199,7 @@ def brute_force_sat(
     UNSAT here means "no model within the bounds".  Hard caps keep it an
     oracle: at most 2 atoms, 4 states, 8 functions.
     """
-    _require_static(phi)
-    validate_formula(phi, sig)
+    _require_declared(phi, sig)
     universe = 1 << len(sig.atoms)
     if len(sig.atoms) > 2:
         raise ValueError("oracle bound exceeded: at most 2 atoms")
@@ -169,7 +207,7 @@ def brute_force_sat(
     if cap_states > 4 or max_functions > 8:
         raise ValueError("oracle bounds too large")
     nvals = len(sig.values)
-    apos = {a: i for i, a in enumerate(sig.atoms)}
+    nodes = _oracle_nodes(phi, {a: i for i, a in enumerate(sig.atoms)})
 
     for smask in range(1, 1 << universe):
         cols = [u for u in range(universe) if smask >> u & 1]
@@ -178,7 +216,7 @@ def brute_force_sat(
         all_rows = list(itertools.product(range(nvals), repeat=len(cols)))
         for fam_size in range(1, min(max_functions, len(all_rows)) + 1):
             for family in itertools.combinations(all_rows, fam_size):
-                hit = _oracle_search_points(phi, apos, sig.values, cols, family)
+                hit = _oracle_search_points(nodes, sig.values, cols, family)
                 if hit is not None:
                     j, i = hit
                     states = [mask_state(sig, m) for m in cols]
@@ -186,47 +224,78 @@ def brute_force_sat(
     return None
 
 
-def _oracle_search_points(phi, apos, values, cols, rows) -> tuple[int, int] | None:
-    memo: dict[tuple, bool] = {}
+def _oracle_nodes(phi: Formula, apos: dict[str, int]) -> list[tuple]:
+    """The oracle's own table of phi's distinct subformulas, children first
+    and phi last: (class, x, y) with the children's indexes, an atom's bit,
+    a decision atom's value, or a ceteris-paribus modality's index-set bits
+    (atoms outside `apos` have none)."""
+    index: dict[Formula, int] = {}
+    nodes: list[tuple] = []
 
-    def ev(f: Formula, j: int, i: int) -> bool:
-        key = (f, j, i)
-        got = memo.get(key)
+    def number(f: Formula) -> int:
+        n = index.get(f)
+        if n is None:
+            if isinstance(f, Atom):
+                node = (Atom, 1 << apos[f.name], 0)
+            elif isinstance(f, Dec):
+                node = (Dec, f.value, 0)
+            elif isinstance(f, Top):
+                node = (Top, 0, 0)
+            elif isinstance(f, And):
+                node = (And, number(f.left), number(f.right))
+            elif isinstance(f, CP):
+                node = (CP, number(f.sub), sum(1 << apos[a] for a in f.atoms if a in apos))
+            elif isinstance(f, (Not, BoxI, BoxF)):
+                node = (type(f), number(f.sub), 0)
+            else:
+                raise EvalError("oracle cannot evaluate update operators")
+            n = index[f] = len(nodes)
+            nodes.append(node)
+        return n
+
+    try:
+        number(phi)
+        return nodes
+    finally:
+        del number  # free the self-referencing closure and the index now
+
+
+def _oracle_search_points(nodes, values, cols, rows) -> tuple[int, int] | None:
+    """The first point (column j, row i) of the grid where the last node
+    holds, by a direct recursion over the satisfaction clauses."""
+    nc, nr = len(cols), len(rows)
+    memo: list[bool | None] = [None] * (len(nodes) * nc * nr)
+
+    def ev(n: int, j: int, i: int) -> bool:
+        key = (n * nc + j) * nr + i
+        got = memo[key]
         if got is not None:
             return got
-        if isinstance(f, Atom):
-            out = bool(cols[j] >> apos[f.name] & 1)
-        elif isinstance(f, Dec):
-            out = values[rows[i][j]] == f.value
-        elif isinstance(f, Top):
+        kind, x, y = nodes[n]
+        if kind is Atom:
+            out = bool(cols[j] & x)
+        elif kind is Dec:
+            out = values[rows[i][j]] == x
+        elif kind is Top:
             out = True
-        elif isinstance(f, Not):
-            out = not ev(f.sub, j, i)
-        elif isinstance(f, And):
-            out = ev(f.left, j, i) and ev(f.right, j, i)
-        elif isinstance(f, BoxI):
-            out = all(ev(f.sub, j2, i) for j2 in range(len(cols)))
-        elif isinstance(f, BoxF):
-            out = all(ev(f.sub, j, i2) for i2 in range(len(rows)))
-        elif isinstance(f, CP):
-            xbits = 0
-            for a in f.atoms:
-                if a in apos:
-                    xbits |= 1 << apos[a]
-            out = all(
-                ev(f.sub, j2, i)
-                for j2 in range(len(cols))
-                if cols[j2] & xbits == cols[j] & xbits
-            )
-        else:
-            raise EvalError("oracle cannot evaluate update operators")
+        elif kind is Not:
+            out = not ev(x, j, i)
+        elif kind is And:
+            out = ev(x, j, i) and ev(y, j, i)
+        elif kind is BoxI:
+            out = all(ev(x, j2, i) for j2 in range(nc))
+        elif kind is BoxF:
+            out = all(ev(x, j, i2) for i2 in range(nr))
+        else:  # CP
+            out = all(ev(x, j2, i) for j2 in range(nc) if cols[j2] & y == cols[j] & y)
         memo[key] = out
         return out
 
+    top = len(nodes) - 1
     try:
-        for j in range(len(cols)):
-            for i in range(len(rows)):
-                if ev(phi, j, i):
+        for j in range(nc):
+            for i in range(nr):
+                if ev(top, j, i):
                     return (j, i)
         return None
     finally:
@@ -275,9 +344,11 @@ def _system_satisfiable(
     The depth-first search seeds each cell where phi can hold and adds one
     type toward the first unmet obligation: for a row type, a column
     refuting a box no column refutes yet or, if the values clash, one of its
-    false boxes; for phi, a column refuting a false box of a row where phi
-    can hold; for a column's false box, a new row type refuting it there or
-    a column refuting a false box of a row type that already does.
+    false boxes; for phi (finite mode only: in open mode the seed cell stays
+    in the family and the copies of its realized row meet each of its
+    values), a column refuting a false box of a row where phi can hold; for
+    a column's false box, a new row type refuting it there or a column
+    refuting a false box of a row type that already does.
     Completeness: the types of any model of phi form such a family within
     the copy bound.  While the search's family and phi's cell lie inside it,
     the model's classifier meeting an unmet obligation has a candidate type,
@@ -288,24 +359,40 @@ def _system_satisfiable(
     admissible value and a false one fails at a realization; so two rows
     with one table carry one type, and finite-mode states stay distinct.
 
+    phi's distinct subformulas are numbered children first in one walk of
+    its DAG, and a cell's truths are a bitmask over those numbers.  The
+    whole cell table is charged to the meter before the search starts, but
+    a cell is built only when the search first reads it.
+
     Returns the witness grid (masks, table, point): each column's valuation
     of `atoms`, the rows as tuples of value indexes, and the (row, column)
     where phi holds; None means UNSAT.  Raises BudgetExceeded, spending
     nothing, when the cell table alone exceeds the meter's remaining budget.
     """
-    sf = sorted(subformulas(phi), key=lambda f: (size(f), render_formula(f)))
-    pos = {f: p for p, f in enumerate(sf)}
-    # A cell's truths are a bitmask over positions in sf.  The types fix the
-    # boxes, the column the atoms and the value the decision atoms; children
-    # sort before their parents, so one pass over `ops` settles the rest.
+    # The types fix the boxes, the column the atoms and the value the
+    # decision atoms; children are numbered before their parents, so one
+    # pass over `ops` settles the rest.
+    pos: dict[Formula, int] = {}
     atom_bits = [0] * len(atoms)
     value_bits = [0] * len(values)
     top_bits = 0
-    ops: list[tuple[int, int, int]] = []  # (position, child, right child or -1 for a negation)
+    ops: list[tuple[int, int, int]] = []  # (bit, operand bits, their value making the bit true)
     boxi: list[int] = []
     boxf: list[int] = []
     arg: dict[int, int] = {}  # box position -> bit of its argument
-    for p, f in enumerate(sf):
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        f, children_done = stack.pop()
+        if f in pos:
+            continue
+        if not children_done and isinstance(f, (Not, And, BoxI, BoxF)):
+            stack.append((f, True))
+            if isinstance(f, And):
+                stack += (f.right, False), (f.left, False)
+            else:
+                stack.append((f.sub, False))
+            continue
+        p = pos[f] = len(pos)
         if isinstance(f, Atom):
             atom_bits[atoms.index(f.name)] |= 1 << p
         elif isinstance(f, Dec):
@@ -313,16 +400,17 @@ def _system_satisfiable(
         elif isinstance(f, Top):
             top_bits |= 1 << p
         elif isinstance(f, Not):
-            ops.append((p, pos[f.sub], -1))
+            ops.append((1 << p, 1 << pos[f.sub], 0))
         elif isinstance(f, And):
-            ops.append((p, pos[f.left], pos[f.right]))
+            both = 1 << pos[f.left] | 1 << pos[f.right]
+            ops.append((1 << p, both, both))
         elif isinstance(f, (BoxI, BoxF)):
             (boxi if isinstance(f, BoxI) else boxf).append(p)
             arg[p] = 1 << pos[f.sub]
         else:
             raise AssertionError("type search needs an expanded static formula")
     nvals = len(values)
-    cost = len(sf) * nvals << len(boxi) + len(atoms) + len(boxf)
+    cost = len(pos) * nvals << len(boxi) + len(atoms) + len(boxf)
     if cost > meter.cap - meter.used:
         raise BudgetExceeded(f"{meter.what} cannot fit the {cost} cell truths of its types in its node budget")
     meter.spend(cost)
@@ -332,11 +420,13 @@ def _system_satisfiable(
         for mask in range(1 << len(atoms))
         for fbits in _subsets([1 << b for b in boxf])
     ]
+    ncols = len(cols)
+    box_args = [(1 << b, a) for b, a in arg.items()]
 
     def required(bits: int) -> int:
         """The arguments of the boxes in `bits`, which a cell must make true;
         the boxes are all of one kind, so their arguments are distinct."""
-        return sum(a for b, a in arg.items() if bits >> b & 1)
+        return sum(a for b, a in box_args if bits & b)
 
     row_req = [required(r) for r in rows]
     col_req = [required(fbits) for _, fbits in cols]
@@ -346,50 +436,58 @@ def _system_satisfiable(
         fbits | top_bits | sum(ab for a, ab in enumerate(atom_bits) if cmask >> a & 1)
         for cmask, fbits in cols
     ]
-
-    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ri, rbits in enumerate(rows):
-        for ci in range(len(cols)):
-            req = row_req[ri] | col_req[ci]
-            valid = []
-            for xi in range(nvals):
-                t = rbits | col_fixed[ci] | value_bits[xi]
-                for p, a, b in ops:
-                    if (t >> a & t >> b & 1) if b >= 0 else not t >> a & 1:
-                        t |= 1 << p
-                if t & req == req:
-                    valid.append((xi, t))
-            if valid:
-                cells[(ri, ci)] = valid
     phi_bit = 1 << pos[phi]
+    cells: dict[int, list[tuple[int, int]]] = {}  # ri * ncols + ci -> admissible (value, truths)
+
+    def cell(ri: int, ci: int) -> list[tuple[int, int]]:
+        """The admissible values of cell (ri, ci) with the truths they give,
+        built on first use; empty where no value is admissible."""
+        got = cells.get(ri * ncols + ci)
+        if got is None:
+            got = cells[ri * ncols + ci] = []
+            req = row_req[ri] | col_req[ci]
+            fixed = rows[ri] | col_fixed[ci]
+            for xi, vbits in enumerate(value_bits):
+                t = fixed | vbits
+                for bit, operands, want in ops:
+                    if t & operands == want:
+                        t |= bit
+                if t & req == req:
+                    got.append((xi, t))
+        return got
 
     def has(ri: int, ci: int, bit: int, want: int) -> bool:
-        return any(t & bit == want for _, t in cells.get((ri, ci), ()))
+        return any(t & bit == want for _, t in cell(ri, ci))
 
     def realize(ri: int, cs: tuple[int, ...], pin_j: int = -1, pin: int = 0, want: int = 0) -> tuple:
         """(values, covered): one value index per column of cs with which a
         classifier of row type ri refutes all its false boxes, taking a t
         with t & pin == want at column pin_j (None if there is none), and the
-        arguments that some value refutes."""
+        arguments that some value refutes.  In open mode the row's copies
+        meet every value of each cell, so `values` is only () or None."""
         need = row_need[ri]
-        reach: dict[int, tuple[int, ...]] = {0: ()}  # refuted arguments -> values reaching them
-        covered = work = 0
-        for j, ci in enumerate(cs):
-            vals = cells[ri, ci]
-            if j == pin_j:
-                kept = [v for v in vals if v[1] & pin == want]
-                if not kept:
+        covered = 0
+        if copies is None:
+            for j, ci in enumerate(cs):
+                vals = cell(ri, ci)
+                if j == pin_j and not any(t & pin == want for _, t in vals):
                     return None, covered
-                if copies is not None:
-                    vals = kept
+                for _, t in vals:
+                    covered |= ~t & need
+            meter.spend(len(cs))
+            return (() if covered == need else None), covered
+        reach: dict[int, tuple[int, ...]] = {0: ()}  # refuted arguments -> values reaching them
+        work = 0
+        for j, ci in enumerate(cs):
+            vals = cell(ri, ci)
+            if j == pin_j:
+                vals = [v for v in vals if v[1] & pin == want]
+                if not vals:
+                    return None, covered
             opts: dict[int, int] = {}  # refuted arguments -> first value refuting them
-            union = 0
             for xi, t in vals:
                 opts.setdefault(~t & need, xi)
-                union |= ~t & need
-            if copies is None:  # the row's copies meet every value of the cell
-                opts = {union: vals[0][0]}
-            covered |= union
+                covered |= ~t & need
             work += len(reach) * len(opts)
             reach = {b | o: p + (xi,) for b, p in reach.items() for o, xi in opts.items()}
         meter.spend(work)
@@ -404,10 +502,10 @@ def _system_satisfiable(
         (row type, arguments) in `wants`, one of those arguments there."""
         return [
             (rs, tuple(sorted(cs + (ci,))))
-            for ci in range(len(cols))
-            if any(~t & target for ri, target in wants for _, t in cells.get((ri, ci), ()))
+            for ci in range(ncols)
+            if any(~t & target for ri, target in wants for _, t in cell(ri, ci))
             and (ci not in cs if copies is None else sum(cols[c][0] == cols[ci][0] for c in cs) < copies)
-            and all((ri, ci) in cells for ri in rs)
+            and all(cell(ri, ci) for ri in rs)
         ]
 
     def moves(rs: frozenset, cs: tuple[int, ...]) -> list | None:
@@ -419,7 +517,7 @@ def _system_satisfiable(
             if found is None:
                 missing = row_need[ri] & ~covered
                 return grow(rs, cs, [(ri, missing & -missing or row_need[ri])])
-        if all(first(rl, cs, j, phi_bit, phi_bit) is None for j in range(len(cs))):
+        if copies is not None and all(first(rl, cs, j, phi_bit, phi_bit) is None for j in range(len(cs))):
             return grow(rs, cs, [(ri, row_need[ri]) for ri in rl if any(has(ri, c, phi_bit, phi_bit) for c in cs)])
         for j, cj in enumerate(cs):
             for a in col_false[cj]:
@@ -428,7 +526,7 @@ def _system_satisfiable(
                     return [
                         (rs | {ri}, cs)
                         for ri in range(len(rows))
-                        if ri not in rs and has(ri, cj, a, 0) and all((ri, c) in cells for c in cs)
+                        if ri not in rs and has(ri, cj, a, 0) and all(cell(ri, c) for c in cs)
                     ] + grow(rs, cs, [(ri, row_need[ri]) for ri in helpers])
         return None
 
@@ -459,7 +557,7 @@ def _system_satisfiable(
         # each column copy: a box false at a type keeps a refuting cell, and a
         # box true at a type holds at every admissible value.  Merging
         # identical rows changes no truth value.
-        grid = [[cells[ri, ci] for ci in cs] for ri in rs]
+        grid = [[cell(ri, ci) for ci in cs] for ri in rs]
         k = max(len(vs) for row in grid for vs in row)
         rows_out: dict[tuple[int, ...], list[int]] = {}  # value indexes -> truth of phi per column
         for row in grid:
@@ -471,7 +569,7 @@ def _system_satisfiable(
 
     try:
         for ri in range(len(rows)):
-            for ci in range(len(cols)):
+            for ci in range(ncols):
                 if has(ri, ci, phi_bit, phi_bit):
                     got = solve(frozenset([ri]), (ci,))
                     if got:
@@ -505,41 +603,54 @@ def sat_open(
     quasi model read off the type search into a genuine multi-classifier
     model), or None for UNSAT.
     """
-    _require_static(phi)
+    base_atoms, used_values = _symbols(phi)
     values = tuple(values)
-    missing = dec_values_of(phi) - set(values)
+    missing = used_values.difference(values)
     if missing:
         raise EvalError(f"formula mentions undeclared values {sorted(missing)}")
-    phi_sys = simplify(cp_free(simplify(phi)))
-    atoms = tuple(sorted(atoms_of(phi_sys)))
+    phi_sys = _expanded(phi)
+    atoms = tuple(sorted(_symbols(phi_sys)[0]))
     solved = _system_satisfiable(phi_sys, atoms, values, BudgetMeter(search_budget(budget)))
     if solved is None:
         return None
-    return _open_witness(phi, atoms, values, *solved)
+    return _open_witness(phi, tuple(sorted(base_atoms)), atoms, values, *solved)
 
 
 def _open_witness(
     phi: Formula,
+    base_atoms: tuple[str, ...],
     atoms: tuple[str, ...],
     values: tuple[str, ...],
     masks: Sequence[int],
     table: list[tuple[int, ...]],
     point: tuple[int, int],
 ) -> Witness:
+    n = len(masks)
+    grid_sig = Signature(atoms, values)
+    fresh = _fresh_names(set(base_atoms), n)
+    states = [mask_state(grid_sig, masks[j]) | {fresh[j]} for j in range(n)]
+    sig = Signature(base_atoms + tuple(fresh), values)
+    quasi = functools.partial(_quasi_model, base_atoms, atoms, values, masks, table)
+    return _grid_witness("open", phi, sig, states, table, point, quasi)
+
+
+def _quasi_model(
+    base_atoms: tuple[str, ...],
+    atoms: tuple[str, ...],
+    values: tuple[str, ...],
+    masks: Sequence[int],
+    table: list[tuple[int, ...]],
+) -> QuasiMDM:
+    """The grid as a quasi decision model over `base_atoms`: world (i, j) is
+    row i at column j, whose valuation of `atoms` is masks[j]."""
     m, n = len(table), len(masks)
-    base_atoms = tuple(sorted(atoms_of(phi)))
     grid_sig = Signature(atoms, values)
     col_atoms = [mask_state(grid_sig, mask) for mask in masks]
     worlds = [(i, j) for i in range(m) for j in range(n)]
     valuation = {(i, j): (col_atoms[j], values[table[i][j]]) for (i, j) in worlds}
     rel_i = [frozenset((i, j) for j in range(n)) for i in range(m)]
     rel_f = [frozenset((i, j) for i in range(m)) for j in range(n)]
-    quasi = QuasiMDM(Signature(base_atoms, values), worlds, valuation, rel_i, rel_f)
-
-    fresh = _fresh_names(set(base_atoms), n)
-    states = [col_atoms[j] | {fresh[j]} for j in range(n)]
-    sig = Signature(base_atoms + tuple(fresh), values)
-    return _grid_witness("open", phi, sig, states, table, point, quasi)
+    return QuasiMDM(Signature(base_atoms, values), worlds, valuation, rel_i, rel_f)
 
 
 def filtrate(M: QuasiMDM, phi: Formula, w0) -> tuple[QuasiMDM, dict]:
@@ -547,7 +658,7 @@ def filtrate(M: QuasiMDM, phi: Formula, w0) -> tuple[QuasiMDM, dict]:
     subformulas (decision atoms included), preserving phi at the image of w0
     and bounding the world count by 2^|subformulas + decision atoms|.
     """
-    _require_static(phi)
+    _symbols(phi)  # raises EvalError on an update operator
     report = validate_mdm(M)
     bad = [nm for nm in ("C1", "C3", "C4", "C5") if not report.passed(nm)]
     if bad:

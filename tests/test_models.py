@@ -104,15 +104,15 @@ def _oracle_kept(sig, states, phi):
     import itertools
 
     from plc.models import state_mask
-    from plc.solver import _oracle_search_points
+    from plc.solver import _oracle_nodes, _oracle_search_points
     from plc.syntax import Not
 
-    apos = {a: i for i, a in enumerate(sig.atoms)}
+    nodes = _oracle_nodes(Not(phi), {a: i for i, a in enumerate(sig.atoms)})
     cols = [state_mask(sig, s) for s in states]
     return [
         tuple(sig.values[v] for v in row)
         for row in itertools.product(range(len(sig.values)), repeat=len(states))
-        if _oracle_search_points(Not(phi), apos, sig.values, cols, [row]) is None
+        if _oracle_search_points(nodes, sig.values, cols, [row]) is None
     ]
 
 
@@ -431,14 +431,21 @@ def test_read_off_that_would_change_truth_is_rejected(capsys, tmp_path):
     assert check_mdm(M, 0, phi) and check_mcm(PointedMCM(mcm, s, f), phi)
 
     from plc.cli import main
-    from plc.modelio import dumps_mdm
+    from plc.modelio import dumps_mdm, load_model
 
     path, out_path = tmp_path / "m.plc", tmp_path / "out.plc"
-    path.write_text(dumps_mdm(M, point=0))
+    path.write_text(dumps_mdm(M))
     code = main(["normalize", "-m", str(path), "-o", str(out_path)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_path.exists()
+    # a file that names its point is normalized through that point's
+    # generated submodel, as the error advises
+    path.write_text(dumps_mdm(M, point=0))
+    assert main(["normalize", "-m", str(path), "-o", str(out_path)]) == 0
+    out, out_point = load_model(str(out_path))
+    assert len(out.states) == 1 and len(out.functions) == 1
+    assert check_mcm(out_point, phi)
 
 
 def test_read_off_preserves_truth_on_every_tiny_decision_model():

@@ -229,3 +229,31 @@ def test_cp_free_output_and_equivalence():
             for f in m.functions:
                 pt = PointedMCM(m, s, f)
                 assert check_mcm(pt, phi) == check_mcm(pt, out)
+
+
+def test_simplify_and_cp_free_return_unchanged_input_as_it_is():
+    rng = random.Random(12)
+    for _ in range(300):
+        phi = simplify(random_formula(rng, SIG, 4, allow_dyn=True))
+        assert simplify(phi) is phi
+        assert cp_free(phi) is phi
+    # a changed subtree is rebuilt, its unchanged sibling is kept
+    p = BoxI(Atom("p"))
+    out = simplify(And(p, Not(Not(Atom("q")))))
+    assert out == And(p, Atom("q")) and out.left is p
+
+
+def test_cp_free_charges_a_repeated_subtree_each_time():
+    # equal subtrees built apart: a tree, charged as if nothing were memoized
+    def inner():
+        return CP(("p",), Atom("q"))
+
+    def outer():
+        return CP(("q",), And(inner(), inner()))
+
+    phi = And(outer(), Not(outer()))
+    # cp_free of a lone modality is its expansion, which is what it is charged
+    charge = 2 * (2 * size(cp_free(inner())) + size(cp_free(outer())))
+    assert cp_free(phi, max_nodes=charge) == And(cp_free(outer()), Not(cp_free(outer())))
+    with pytest.raises(BudgetExceeded):
+        cp_free(phi, max_nodes=charge - 1)

@@ -3,9 +3,12 @@ import random
 import pytest
 
 from plc import (
+    And,
     Atom,
     BoxF,
+    BoxI,
     BudgetExceeded,
+    CP,
     Dec,
     Dyn,
     EvalError,
@@ -358,3 +361,39 @@ def test_axiom_instances_deterministic_and_shaped():
 def test_funct_instances_cycle_all_subsets():
     instances = [f for n, f in axiom_instances(SIG2, depth=1, seed=0, count=8) if n == "Funct"]
     assert len(set(instances)) >= 4  # all four atom subsets appear
+
+
+def _doubled(f0, n):
+    """f_{k+1} = f_k & ~~f_k: a formula DAG of 3n + |f0| nodes whose tree has
+    2^n copies of f0."""
+    f = f0
+    for _ in range(n):
+        f = And(f, Not(Not(f)))
+    return f
+
+
+def test_queries_cost_the_formula_dag_not_its_tree():
+    import time
+
+    p = Atom("p")
+    for f0, want in ((BoxI(p), True), (BoxI(CP(("p",), p)), True)):
+        small = _doubled(f0, 3)
+        assert (sat_finite(small, SIG2) is not None) == want
+        assert (sat_open(small, SIG2.values) is not None) == want
+        assert valid_finite(small, SIG2) is False
+    # a tree of 2^40 copies of f0: without ceteris-paribus it is decided,
+    # with it the expansion's charge, counted per tree copy, ends the query
+    for f0, ends in ((BoxI(p), None), (BoxI(CP(("p",), p)), BudgetExceeded)):
+        big = _doubled(f0, 40)
+        for query in (
+            lambda: sat_finite(big, SIG2) is not None,
+            lambda: sat_open(big, SIG2.values) is not None,
+            lambda: not valid_finite(big, SIG2),
+        ):
+            start = time.process_time()
+            if ends is None:
+                assert query()
+            else:
+                with pytest.raises(ends, match="ceteris-paribus expansion"):
+                    query()
+            assert time.process_time() - start < 1.0
