@@ -19,7 +19,7 @@ _EXPORTS = {
     "explain": "axp_formula check_axp check_pimp check_subjective enumerate_axps "
     "enumerate_pimps enumerate_subjective is_implicant pimp_formula subaxp_formula "
     "subpimp_formula",
-    "models": "MCM MDM ClassifierFn MdmReport ModelError PointedMCM QuasiMDM all_states "
+    "models": "MCM ClassifierFn MdmReport ModelError PointedMCM QuasiMDM all_states "
     "build_mcm generated_submodel mcm_to_mdm mdm_to_mcm update_mcm validate_mdm world_point",
     "modelio": "dumps_mcm dumps_mdm load_model loads_model",
     "parser": "FormulaSyntaxError parse_formula render_formula",

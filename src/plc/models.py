@@ -19,8 +19,8 @@ from .syntax import (
     Signature,
     Term,
     big_and,
-    is_static,
-    validate_formula,
+    require_declared,
+    symbols,
 )
 
 State = frozenset  # a state is the set of atoms it makes true
@@ -31,10 +31,6 @@ _CANDIDATE_GRID = 65536  # most candidate functions evaluated in one grid
 
 class ModelError(ValueError):
     """Ill-formed model or an operation unsupported on the given model."""
-
-
-def state_of(*atoms: str) -> State:
-    return frozenset(atoms)
 
 
 def state_mask(sig: Signature, s: State) -> int:
@@ -247,9 +243,10 @@ def build_mcm(
     phis: list[Formula] = []
     for c in constraints or []:
         phi = parse_formula(c, sig) if isinstance(c, str) else c
-        if not is_static(phi):
+        atoms, values, static = symbols(phi)
+        if not static:
             raise ModelError("constraints must not contain update operators")
-        validate_formula(phi, sig)
+        require_declared(atoms, values, sig)
         phis.append(phi)
     sts, masks = _sorted_states(sig, sts)
     if states != "all" and set(sts) != set(all_states(sig)):
@@ -392,10 +389,6 @@ class QuasiMDM:
         return f"{type(self).__name__}({len(self.worlds)} worlds)"
 
 
-class MDM(QuasiMDM):
-    """A quasi model additionally expected to satisfy functionality (C2)."""
-
-
 class ConstraintCheck(Frozen):
     __slots__ = _fields = ("name", "passed", "witness")
     name: str
@@ -497,7 +490,7 @@ def validate_mdm(M: QuasiMDM) -> MdmReport:
     return MdmReport(tuple(checks))
 
 
-def mcm_to_mdm(mcm: MCM) -> MDM:
+def mcm_to_mdm(mcm: MCM) -> QuasiMDM:
     """The grid image: one world per (state, function) pair, rows related by
     shared function, columns by shared state."""
     if mcm.inconsistent:
@@ -515,7 +508,7 @@ def mcm_to_mdm(mcm: MCM) -> MDM:
         (si, fi): (mcm.states[si], mcm.functions[fi](mcm.states[si]))
         for (si, fi) in worlds
     }
-    return MDM(mcm.sig, worlds, valuation, rel_i, rel_f)
+    return QuasiMDM(mcm.sig, worlds, valuation, rel_i, rel_f)
 
 
 def world_point(mcm: MCM, world: tuple[int, int]) -> PointedMCM:

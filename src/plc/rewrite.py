@@ -104,20 +104,11 @@ def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
             meter.spend(hit[1])
             return f if hit[0] is None else hit[0]
         start = meter.used
-        if isinstance(f, (Not, BoxI, BoxF)):
-            s = rec(f.sub)
-            out = f if s is f.sub else type(f)(s)
-        elif isinstance(f, And):
-            l, r = rec(f.left), rec(f.right)
-            out = f if l is f.left and r is f.right else And(l, r)
-        elif isinstance(f, CP):
+        if isinstance(f, CP):
             out = _expand_cp_ordered(f.atoms, rec(f.sub))
             meter.spend(size(out))
-        elif isinstance(f, Dyn):
-            a, s = rec(f.announced), rec(f.sub)
-            out = f if a is f.announced and s is f.sub else Dyn(a, s)
         else:
-            out = f
+            out = f.map(rec)
         memo[f] = (None if out is f else out), meter.used - start
         return out
 
@@ -149,15 +140,7 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     def size_of(f: Formula) -> int:
         n = sizes.get(f)
         if n is None:
-            if isinstance(f, (Not, BoxI, BoxF, CP)):
-                n = 1 + size_of(f.sub)
-            elif isinstance(f, And):
-                n = 1 + size_of(f.left) + size_of(f.right)
-            elif isinstance(f, Dyn):
-                n = 1 + size_of(f.announced) + size_of(f.sub)
-            else:
-                n = 1
-            sizes[f] = n
+            n = sizes[f] = 1 + sum(map(size_of, f.children()))
         return n
 
     def push(ann: Formula, scope: Formula) -> Formula:
@@ -200,20 +183,11 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
         return out
 
     def rec(f: Formula) -> Formula:
-        if isinstance(f, (Not, BoxI, BoxF)):
-            s = rec(f.sub)
-            return f if s is f.sub else type(f)(s)
-        if isinstance(f, And):
-            l, r = rec(f.left), rec(f.right)
-            return f if l is f.left and r is f.right else And(l, r)
-        if isinstance(f, CP):
-            s = rec(f.sub)
-            return f if s is f.sub else CP(f.atoms, s)
         if isinstance(f, Dyn):
             a = rec(f.announced)
             size_of(a)  # sized here, where the stack is shallower than in the push
             return push(a, rec(f.sub))
-        return f
+        return f.map(rec)
 
     try:
         out = rec(phi)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from .syntax import CP, And, Atom, BoxF, BoxI, Dec, Dyn, Formula, Not, Top, validate_formula
 
 if TYPE_CHECKING:
-    from .models import MCM, MDM, PointedMCM, QuasiMDM
+    from .models import MCM, PointedMCM, QuasiMDM
     from .syntax import Signature
 
 
@@ -251,7 +251,7 @@ def mdm_extension_mask(M: QuasiMDM, phi: Formula) -> int:
     return result
 
 
-def check_mdm(M: QuasiMDM | MDM, w, phi: Formula) -> bool:
+def check_mdm(M: QuasiMDM, w, phi: Formula) -> bool:
     """Truth of phi at a world of a (quasi) decision model."""
     try:
         i = M.worlds.index(w)

@@ -37,12 +37,13 @@ from .syntax import (
     BoxF,
     BoxI,
     Dec,
-    Dyn,
     Formula,
     Not,
     Signature,
     Top,
+    require_declared,
     subformulas,
+    symbols,
 )
 
 
@@ -91,32 +92,14 @@ class Witness:
         return f"Witness(mode={self.mode!r}, {self.model!r}, state={set(self.state) or '{}'}, function={self.function.name})"
 
 
-def _symbols(phi: Formula) -> tuple[set[str], set[str]]:
+def _static_symbols(phi: Formula) -> tuple[frozenset[str], frozenset[str]]:
     """The input atoms (ceteris-paribus index sets included) and decision
-    values of phi, from one scan of its subformulas.  Raises EvalError on an
-    update operator, which the engines here cannot evaluate."""
-    atoms: set[str] = set()
-    values: set[str] = set()
-    for f in subformulas(phi):
-        if isinstance(f, Atom):
-            atoms.add(f.name)
-        elif isinstance(f, Dec):
-            values.add(f.value)
-        elif isinstance(f, CP):
-            atoms.update(f.atoms)
-        elif isinstance(f, Dyn):
-            raise EvalError("reduce update operators before satisfiability checking")
+    values of phi.  Raises EvalError on an update operator, which the engines
+    here cannot evaluate."""
+    atoms, values, static = symbols(phi)
+    if not static:
+        raise EvalError("reduce update operators before satisfiability checking")
     return atoms, values
-
-
-def _require_declared(phi: Formula, sig: Signature) -> None:
-    """Check that phi is static (EvalError otherwise) and mentions only
-    declared atoms and values (SignatureError otherwise), in that order."""
-    atoms, values = _symbols(phi)
-    for a in sorted(atoms.difference(sig.atoms)):
-        sig.atom_index(a)
-    for v in sorted(values.difference(sig.values)):
-        sig.require_value(v)
 
 
 def _expanded(phi: Formula) -> Formula:
@@ -164,16 +147,14 @@ def sat_finite(
     copy index spelled over the unused atoms.  The witness is the search's
     first, which is deterministic.
     """
-    _require_declared(phi, sig)
+    require_declared(*_static_symbols(phi), sig)
     phi_sys = _expanded(phi)
-    used = _symbols(phi_sys)[0]
-    atoms = tuple(a for a in sig.atoms if a in used)
-    spare = tuple(a for a in sig.atoms if a not in used)
     meter = BudgetMeter(search_budget(budget))
-    solved = _system_satisfiable(phi_sys, atoms, sig.values, meter, copies=1 << len(spare))
+    solved = _system_satisfiable(phi_sys, sig.atoms, sig.values, meter, copies=1)
     if solved is None:
         return None
-    masks, table, point = solved
+    atoms, masks, table, point = solved
+    spare = tuple(a for a in sig.atoms if a not in atoms)
     spread, states, seen = Signature(atoms + spare, sig.values), [], {}
     for m in masks:
         seen[m] = seen.get(m, -1) + 1
@@ -190,7 +171,6 @@ def brute_force_sat(
     phi: Formula,
     sig: Signature,
     *,
-    max_states: int | None = None,
     max_functions: int = 3,
 ) -> Witness | None:
     """Exhaustive oracle over tiny models; evaluation is an independent
@@ -199,20 +179,17 @@ def brute_force_sat(
     UNSAT here means "no model within the bounds".  Hard caps keep it an
     oracle: at most 2 atoms, 4 states, 8 functions.
     """
-    _require_declared(phi, sig)
+    require_declared(*_static_symbols(phi), sig)
     universe = 1 << len(sig.atoms)
     if len(sig.atoms) > 2:
         raise ValueError("oracle bound exceeded: at most 2 atoms")
-    cap_states = universe if max_states is None else max_states
-    if cap_states > 4 or max_functions > 8:
+    if max_functions > 8:
         raise ValueError("oracle bounds too large")
     nvals = len(sig.values)
     nodes = _oracle_nodes(phi, {a: i for i, a in enumerate(sig.atoms)})
 
     for smask in range(1, 1 << universe):
         cols = [u for u in range(universe) if smask >> u & 1]
-        if len(cols) > cap_states:
-            continue
         all_rows = list(itertools.product(range(nvals), repeat=len(cols)))
         for fam_size in range(1, min(max_functions, len(all_rows)) + 1):
             for family in itertools.combinations(all_rows, fam_size):
@@ -312,27 +289,30 @@ def _subsets(bits: list[int]) -> list[int]:
 
 def _system_satisfiable(
     phi: Formula,
-    atoms: tuple[str, ...],
+    order: Sequence[str],
     values: tuple[str, ...],
     meter: BudgetMeter,
     copies: int | None = None,
-) -> tuple[list[int], list[tuple[int, ...]], tuple[int, int]] | None:
+) -> tuple[tuple[str, ...], list[int], list[tuple[int, ...]], tuple[int, int]] | None:
     """Decide satisfiability by searching for a coherent family of
     classifier-row types and instance-column types.
 
-    A row type fixes the instance-box subformulas true along a classifier; a
-    column type fixes a valuation of `atoms` plus the classifier-box
-    subformulas true along an instance.  Every subformula's truth at a cell
-    is determined by (row type, column type, cell value); a value is
-    admissible where it makes the arguments of the cell's true boxes true.
-    In a family every cell admits a value, every row type is realized, phi
-    holds at a realized cell, and each false box of a column fails there at
-    a realized row.  `copies` is None in open mode and, in finite mode, the
-    number of states that may share a valuation of `atoms`.  The mode enters
-    at three points.  Columns: open mode adds each column type once, and
-    fresh atoms give it copies; in finite mode a column is one state, at
-    most `copies` share a valuation, and a new one takes the least free copy
-    index, as they are interchangeable.  Realizing a row type: in open mode
+    The atoms are those phi uses, in the order of `order`, which must hold
+    them all.  A row type fixes the instance-box subformulas true along a
+    classifier; a column type fixes a valuation of the atoms plus the
+    classifier-box subformulas true along an instance.  Every subformula's
+    truth at a cell is determined by (row type, column type, cell value); a
+    value is admissible where it makes the arguments of the cell's true
+    boxes true.  In a family every cell admits a value, every row type is
+    realized, phi holds at a realized cell, and each false box of a column
+    fails there at a realized row.  `copies` is None in open mode and, in
+    finite mode, the number of states that may share a valuation of all of
+    `order`; it doubles for each atom of `order` that phi does not use, as
+    those atoms tell such states apart.  The mode enters at three points.
+    Columns: open mode adds each column type once, and fresh atoms give it
+    copies; in finite mode a column is one state, at most `copies` share a
+    valuation, and a new one takes the least free copy index, as they are
+    interchangeable.  Realizing a row type: in open mode
     each false instance box fails at some value of some column, since copies
     of the row meet every value; in finite mode one value per column refutes
     them all, found by a reach-set pass over the columns on the bits of
@@ -360,20 +340,22 @@ def _system_satisfiable(
     with one table carry one type, and finite-mode states stay distinct.
 
     phi's distinct subformulas are numbered children first in one walk of
-    its DAG, and a cell's truths are a bitmask over those numbers.  The
-    whole cell table is charged to the meter before the search starts, but
-    a cell is built only when the search first reads it.
+    its DAG, which also collects the atoms, and a cell's truths are a
+    bitmask over those numbers.  The whole cell table is charged to the
+    meter before the search starts, but a cell is built only when the search
+    first reads it.
 
-    Returns the witness grid (masks, table, point): each column's valuation
-    of `atoms`, the rows as tuples of value indexes, and the (row, column)
-    where phi holds; None means UNSAT.  Raises BudgetExceeded, spending
-    nothing, when the cell table alone exceeds the meter's remaining budget.
+    Returns the atoms and the witness grid (atoms, masks, table, point):
+    each column's valuation of the atoms, the rows as tuples of value
+    indexes, and the (row, column) where phi holds; None means UNSAT.
+    Raises BudgetExceeded, spending nothing, when the cell table alone
+    exceeds the meter's remaining budget.
     """
     # The types fix the boxes, the column the atoms and the value the
     # decision atoms; children are numbered before their parents, so one
     # pass over `ops` settles the rest.
     pos: dict[Formula, int] = {}
-    atom_bits = [0] * len(atoms)
+    atom_bit: dict[str, int] = {}
     value_bits = [0] * len(values)
     top_bits = 0
     ops: list[tuple[int, int, int]] = []  # (bit, operand bits, their value making the bit true)
@@ -385,16 +367,13 @@ def _system_satisfiable(
         f, children_done = stack.pop()
         if f in pos:
             continue
-        if not children_done and isinstance(f, (Not, And, BoxI, BoxF)):
+        if not children_done and (kids := f.children()):
             stack.append((f, True))
-            if isinstance(f, And):
-                stack += (f.right, False), (f.left, False)
-            else:
-                stack.append((f.sub, False))
+            stack += [(c, False) for c in reversed(kids)]
             continue
         p = pos[f] = len(pos)
         if isinstance(f, Atom):
-            atom_bits[atoms.index(f.name)] |= 1 << p
+            atom_bit[f.name] = 1 << p
         elif isinstance(f, Dec):
             value_bits[values.index(f.value)] |= 1 << p
         elif isinstance(f, Top):
@@ -409,6 +388,10 @@ def _system_satisfiable(
             arg[p] = 1 << pos[f.sub]
         else:
             raise AssertionError("type search needs an expanded static formula")
+    atoms = tuple(sorted(atom_bit, key=order.index))
+    atom_bits = [atom_bit[a] for a in atoms]
+    if copies is not None:
+        copies <<= len(order) - len(atoms)
     nvals = len(values)
     cost = len(pos) * nvals << len(boxi) + len(atoms) + len(boxf)
     if cost > meter.cap - meter.used:
@@ -550,7 +533,7 @@ def _system_satisfiable(
         if copies is not None:  # one classifier where phi holds, one per false box per column
             seed, j0 = next((f, j) for j in range(len(cs)) if (f := first(rs, cs, j, phi_bit, phi_bit)))
             table = [seed] + [first(rs, cs, j, a, 0) for j, ci in enumerate(cs) for a in col_false[ci]]
-            return [cols[ci][0] for ci in cs], list(dict.fromkeys(table)), (0, j0)
+            return atoms, [cols[ci][0] for ci in cs], list(dict.fromkeys(table)), (0, j0)
         # k copies of every row and column type; copy (a, b) of cell (r, c)
         # takes the admissible value at (a + b) mod |V(r, c)|.  Each row copy
         # then meets every admissible value of each of its cells, and so does
@@ -565,7 +548,7 @@ def _system_satisfiable(
                 picks = [vs[(a + b) % len(vs)] for vs in row for b in range(k)]
                 rows_out.setdefault(tuple(x for x, _ in picks), [t & phi_bit for _, t in picks])
         point = next((i, j) for i, truth in enumerate(rows_out.values()) for j, t in enumerate(truth) if t)
-        return [cols[ci][0] for ci in cs for _ in range(k)], list(rows_out), point
+        return atoms, [cols[ci][0] for ci in cs for _ in range(k)], list(rows_out), point
 
     try:
         for ri in range(len(rows)):
@@ -601,56 +584,57 @@ def sat_open(
     Returns a witness over the formula's atoms plus one fresh atom per
     instance column (the fresh atoms restore functionality, turning the
     quasi model read off the type search into a genuine multi-classifier
-    model), or None for UNSAT.
+    model), or None for UNSAT.  A value set that the formula's atoms and
+    values cannot form a signature with raises SignatureError before the
+    search, whatever its verdict.
     """
-    base_atoms, used_values = _symbols(phi)
+    base_atoms, used_values = _static_symbols(phi)
     values = tuple(values)
     missing = used_values.difference(values)
     if missing:
         raise EvalError(f"formula mentions undeclared values {sorted(missing)}")
+    base_sig = Signature(sorted(base_atoms), values)
     phi_sys = _expanded(phi)
-    atoms = tuple(sorted(_symbols(phi_sys)[0]))
-    solved = _system_satisfiable(phi_sys, atoms, values, BudgetMeter(search_budget(budget)))
+    solved = _system_satisfiable(phi_sys, base_sig.atoms, values, BudgetMeter(search_budget(budget)))
     if solved is None:
         return None
-    return _open_witness(phi, tuple(sorted(base_atoms)), atoms, values, *solved)
+    return _open_witness(phi, base_sig, *solved)
 
 
 def _open_witness(
     phi: Formula,
-    base_atoms: tuple[str, ...],
+    base_sig: Signature,
     atoms: tuple[str, ...],
-    values: tuple[str, ...],
     masks: Sequence[int],
     table: list[tuple[int, ...]],
     point: tuple[int, int],
 ) -> Witness:
     n = len(masks)
-    grid_sig = Signature(atoms, values)
-    fresh = _fresh_names(set(base_atoms), n)
+    grid_sig = Signature(atoms, base_sig.values)
+    fresh = _fresh_names(set(base_sig.atoms) | set(base_sig.values), n)
     states = [mask_state(grid_sig, masks[j]) | {fresh[j]} for j in range(n)]
-    sig = Signature(base_atoms + tuple(fresh), values)
-    quasi = functools.partial(_quasi_model, base_atoms, atoms, values, masks, table)
+    sig = Signature(base_sig.atoms + tuple(fresh), base_sig.values)
+    quasi = functools.partial(_quasi_model, base_sig, atoms, masks, table)
     return _grid_witness("open", phi, sig, states, table, point, quasi)
 
 
 def _quasi_model(
-    base_atoms: tuple[str, ...],
+    base_sig: Signature,
     atoms: tuple[str, ...],
-    values: tuple[str, ...],
     masks: Sequence[int],
     table: list[tuple[int, ...]],
 ) -> QuasiMDM:
-    """The grid as a quasi decision model over `base_atoms`: world (i, j) is
+    """The grid as a quasi decision model over `base_sig`: world (i, j) is
     row i at column j, whose valuation of `atoms` is masks[j]."""
     m, n = len(table), len(masks)
+    values = base_sig.values
     grid_sig = Signature(atoms, values)
     col_atoms = [mask_state(grid_sig, mask) for mask in masks]
     worlds = [(i, j) for i in range(m) for j in range(n)]
     valuation = {(i, j): (col_atoms[j], values[table[i][j]]) for (i, j) in worlds}
     rel_i = [frozenset((i, j) for j in range(n)) for i in range(m)]
     rel_f = [frozenset((i, j) for i in range(m)) for j in range(n)]
-    return QuasiMDM(Signature(base_atoms, values), worlds, valuation, rel_i, rel_f)
+    return QuasiMDM(base_sig, worlds, valuation, rel_i, rel_f)
 
 
 def filtrate(M: QuasiMDM, phi: Formula, w0) -> tuple[QuasiMDM, dict]:
@@ -658,7 +642,7 @@ def filtrate(M: QuasiMDM, phi: Formula, w0) -> tuple[QuasiMDM, dict]:
     subformulas (decision atoms included), preserving phi at the image of w0
     and bounding the world count by 2^|subformulas + decision atoms|.
     """
-    _symbols(phi)  # raises EvalError on an update operator
+    _static_symbols(phi)  # raises EvalError on an update operator
     report = validate_mdm(M)
     bad = [nm for nm in ("C1", "C3", "C4", "C5") if not report.passed(nm)]
     if bad:

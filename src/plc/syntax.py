@@ -4,12 +4,21 @@ The primitive connectives are atoms, decision atoms, truth, negation,
 conjunction, the two boxes, the ceteris-paribus modality, and the knowledge
 update operator.  Everything else (or, implication, iff, diamonds, falsity)
 is desugared into primitives at construction time; the printer re-sugars.
+
+Each node class says here, and only here, which of its fields hold
+subformulas: `children()` gives them in field order, and `map(fn)` rebuilds
+the node over fn of each, or returns it as it is when every child comes back
+unchanged.  Walks that need only the shape (`size`, `subformulas`, the
+rewrite passes' recursions, the type search's numbering) go through those
+two; code that gives a connective its meaning dispatches on the class.
+`symbols` reads a formula's atoms, decision values and update operators off
+one scan of its subformulas.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 ATOM_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
 VALUE_RE = re.compile(r"[a-z0-9_][A-Za-z0-9_]*\Z")
@@ -111,9 +120,21 @@ class Signature(Frozen):
 
 
 class Formula(Frozen):
-    """Base class; all nodes are immutable values with structural equality."""
+    """Base class; all nodes are immutable values with structural equality.
+
+    The base class is a leaf: no children, and `map` returns the node.
+    """
 
     __slots__ = ()
+
+    def children(self) -> tuple[Formula, ...]:
+        """The immediate subformulas, in field order."""
+        return ()
+
+    def map(self, fn: Callable[[Formula], Formula]) -> Formula:
+        """This node over fn of each child, called in field order; the node
+        itself when every child comes back as it is."""
+        return self
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(repr(getattr(self, f)) for f in self._fields)})"
@@ -165,9 +186,22 @@ class Top(Formula):
     __slots__ = ()
 
 
-class Not(Formula):
+class _Unary(Formula):
+    """A connective whose one field is its subformula."""
+
     __slots__ = _fields = ("sub",)
     sub: Formula
+
+    def children(self) -> tuple[Formula, ...]:
+        return (self.sub,)
+
+    def map(self, fn: Callable[[Formula], Formula]) -> Formula:
+        s = fn(self.sub)
+        return self if s is self.sub else type(self)(s)
+
+
+class Not(_Unary):
+    __slots__ = ()
 
 
 class And(Formula):
@@ -175,19 +209,24 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    def children(self) -> tuple[Formula, ...]:
+        return (self.left, self.right)
 
-class BoxI(Formula):
+    def map(self, fn: Callable[[Formula], Formula]) -> Formula:
+        l, r = fn(self.left), fn(self.right)
+        return self if l is self.left and r is self.right else And(l, r)
+
+
+class BoxI(_Unary):
     """Necessity over input instances (classifier held fixed)."""
 
-    __slots__ = _fields = ("sub",)
-    sub: Formula
+    __slots__ = ()
 
 
-class BoxF(Formula):
+class BoxF(_Unary):
     """Necessity over classifiers (input instance held fixed)."""
 
-    __slots__ = _fields = ("sub",)
-    sub: Formula
+    __slots__ = ()
 
 
 class CP(Formula):
@@ -200,6 +239,13 @@ class CP(Formula):
     def __init__(self, atoms: Iterable[str], sub: Formula) -> None:
         super().__init__(tuple(sorted(set(atoms))), sub)
 
+    def children(self) -> tuple[Formula, ...]:
+        return (self.sub,)
+
+    def map(self, fn: Callable[[Formula], Formula]) -> Formula:
+        s = fn(self.sub)
+        return self if s is self.sub else CP(self.atoms, s)
+
 
 class Dyn(Formula):
     """Knowledge update: sub holds after discarding classifiers that do not
@@ -208,6 +254,13 @@ class Dyn(Formula):
     __slots__ = _fields = ("announced", "sub")
     announced: Formula
     sub: Formula
+
+    def children(self) -> tuple[Formula, ...]:
+        return (self.announced, self.sub)
+
+    def map(self, fn: Callable[[Formula], Formula]) -> Formula:
+        a, s = fn(self.announced), fn(self.sub)
+        return self if a is self.announced and s is self.sub else Dyn(a, s)
 
 
 # Derived connectives, stored desugared.
@@ -261,18 +314,8 @@ def size(phi: Formula) -> int:
     n = 0
     stack = [phi]
     while stack:
-        f = stack.pop()
         n += 1
-        if isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, And):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, (BoxI, BoxF, CP)):
-            stack.append(f.sub)
-        elif isinstance(f, Dyn):
-            stack.append(f.announced)
-            stack.append(f.sub)
+        stack += stack.pop().children()
     return n
 
 
@@ -283,19 +326,9 @@ def subformulas(phi: Formula, plus: bool = False, sig: Signature | None = None) 
     stack = [phi]
     while stack:
         f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        if isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, And):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, (BoxI, BoxF, CP)):
-            stack.append(f.sub)
-        elif isinstance(f, Dyn):
-            stack.append(f.announced)
-            stack.append(f.sub)
+        if f not in out:
+            out.add(f)
+            stack += f.children()
     if plus:
         if sig is None:
             raise ValueError("plus=True needs a signature for the decision atoms")
@@ -303,49 +336,48 @@ def subformulas(phi: Formula, plus: bool = False, sig: Signature | None = None) 
     return frozenset(out)
 
 
+def symbols(phi: Formula) -> tuple[frozenset[str], frozenset[str], bool]:
+    """The input atoms of phi (ceteris-paribus index sets included), its
+    decision values, and whether it is static (has no update operator), from
+    one scan of its subformulas."""
+    atoms: set[str] = set()
+    values: set[str] = set()
+    static = True
+    for f in subformulas(phi):
+        if type(f) is Atom:
+            atoms.add(f.name)
+        elif type(f) is Dec:
+            values.add(f.value)
+        elif type(f) is CP:
+            atoms.update(f.atoms)
+        elif type(f) is Dyn:
+            static = False
+    return frozenset(atoms), frozenset(values), static
+
+
 def atoms_of(phi: Formula) -> frozenset[str]:
     """Input atoms occurring in phi, including ceteris-paribus index sets."""
-    out: set[str] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            out.add(f.name)
-        elif isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, And):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, (BoxI, BoxF)):
-            stack.append(f.sub)
-        elif isinstance(f, CP):
-            out.update(f.atoms)
-            stack.append(f.sub)
-        elif isinstance(f, Dyn):
-            stack.append(f.announced)
-            stack.append(f.sub)
-    return frozenset(out)
-
-
-def dec_values_of(phi: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    for f in subformulas(phi):
-        if isinstance(f, Dec):
-            out.add(f.value)
-    return frozenset(out)
+    return symbols(phi)[0]
 
 
 def is_static(phi: Formula) -> bool:
     """True when phi contains no knowledge-update operator."""
-    return not any(isinstance(f, Dyn) for f in subformulas(phi))
+    return symbols(phi)[2]
+
+
+def require_declared(atoms: Iterable[str], values: Iterable[str], sig: Signature) -> None:
+    """Raise SignatureError naming the least undeclared atom or, when every
+    atom is declared, the least undeclared value."""
+    for name in sorted(set(atoms).difference(sig.atoms)):
+        sig.atom_index(name)
+    for name in sorted(set(values).difference(sig.values)):
+        sig.require_value(name)
 
 
 def validate_formula(phi: Formula, sig: Signature) -> None:
     """Raise SignatureError unless every atom and value of phi is declared."""
-    for a in atoms_of(phi):
-        sig.atom_index(a)
-    for v in dec_values_of(phi):
-        sig.require_value(v)
+    atoms, values, _ = symbols(phi)
+    require_declared(atoms, values, sig)
 
 
 def conj_term(positive: Iterable[str], over: Iterable[str], sig: Signature) -> Formula:

@@ -10,7 +10,6 @@ import random
 
 from plc import (
     MCM,
-    MDM,
     Atom,
     ClassifierFn,
     Dec,
@@ -60,7 +59,7 @@ def random_pointed(rng: random.Random, m: MCM) -> PointedMCM:
     return PointedMCM(m, rng.choice(m.states), rng.choice(m.functions))
 
 
-def random_redundant_mdm(rng: random.Random, max_dups: int = 2) -> MDM:
+def random_redundant_mdm(rng: random.Random, max_dups: int = 2) -> QuasiMDM:
     """A valid decision model with duplicated worlds, rows, or columns, so the
     collapse back to a classifier model has real work to do."""
     m = random_mcm(rng, max_functions=3)
@@ -108,7 +107,7 @@ def random_redundant_mdm(rng: random.Random, max_dups: int = 2) -> MDM:
             rel_f.append(set(clones.values()))
     order = list(worlds)
     rng.shuffle(order)
-    return MDM(base.sig, order, val, rel_i, rel_f)
+    return QuasiMDM(base.sig, order, val, rel_i, rel_f)
 
 
 def random_quasi_grid(

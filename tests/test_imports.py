@@ -16,7 +16,7 @@ import plc
 EXPORTS = [
     "BudgetExceeded", "axp_formula", "check_axp", "check_pimp", "check_subjective",
     "enumerate_axps", "enumerate_pimps", "enumerate_subjective", "is_implicant",
-    "pimp_formula", "subaxp_formula", "subpimp_formula", "MCM", "MDM", "ClassifierFn",
+    "pimp_formula", "subaxp_formula", "subpimp_formula", "MCM", "ClassifierFn",
     "MdmReport", "ModelError", "PointedMCM", "QuasiMDM", "all_states", "build_mcm",
     "generated_submodel", "mcm_to_mdm", "mdm_to_mcm", "update_mcm", "validate_mdm",
     "world_point", "dumps_mcm", "dumps_mdm", "load_model", "loads_model",
@@ -68,6 +68,20 @@ def test_cli_command_loads_only_its_modules(tmp_path, argv, absent):
     assert "plc.cli" in loaded
     assert not loaded & absent
     assert "dataclasses" not in loaded
+
+
+def test_plc_loads_nothing_outside_the_standard_library():
+    # modules loaded at interpreter start (site hooks among them) are not plc's
+    at_start = _loaded_after("")
+    code = (
+        "import importlib, pkgutil, plc\n"
+        "for m in pkgutil.iter_modules(plc.__path__):\n"
+        "    importlib.import_module('plc.' + m.name)\n"
+    )
+    loaded = _loaded_after(code)
+    assert {"plc.cli", "plc.solver", "plc.models", "plc.explain", "plc.axioms"} <= loaded
+    tops = {m.partition(".")[0] for m in loaded - at_start}
+    assert tops - {"plc"} <= set(sys.stdlib_module_names)
 
 
 def test_exports():

@@ -6,7 +6,6 @@ import pytest
 
 from plc import (
     MCM,
-    MDM,
     ClassifierFn,
     ModelError,
     QuasiMDM,
@@ -242,7 +241,7 @@ def test_update_to_empty_is_marked():
 
 def test_validate_mdm_trivial_and_violations():
     sig = Signature(("p",), ("0", "1"))
-    one = MDM(sig, ["w"], {"w": (frozenset({"p"}), "1")}, [["w"]], [["w"]])
+    one = QuasiMDM(sig, ["w"], {"w": (frozenset({"p"}), "1")}, [["w"]], [["w"]])
     rep = validate_mdm(one)
     assert rep.ok_mdm and rep.ok_c6
     # two instance-related worlds with different input valuations: C3 fails
@@ -353,7 +352,7 @@ def test_cell_duplicate_shrinks_state_count():
     val["dup"] = M.valuation[w]
     rel_i = [set(b) | ({"dup"} if w in b else set()) for b in M.rel_i]
     rel_f = [set(b) | ({"dup"} if w in b else set()) for b in M.rel_f]
-    M2 = MDM(sig, worlds, val, rel_i, rel_f)
+    M2 = QuasiMDM(sig, worlds, val, rel_i, rel_f)
     assert len(M2.worlds) == 3
     back, _ = mdm_to_mcm(M2)
     assert len(back.states) == 2  # naive reading would give 3 instances
@@ -382,7 +381,7 @@ def test_duplicate_classifier_rows_merge():
         for w in b:
             grown.add(("c", w))
         rel_f.append(grown)
-    M2 = MDM(sig, worlds, val, rel_i, rel_f)
+    M2 = QuasiMDM(sig, worlds, val, rel_i, rel_f)
     assert validate_mdm(M2).ok_mdm
     back, _ = mdm_to_mcm(M2)
     assert len(back.functions) == 1  # the two identical rows collapse

@@ -12,7 +12,6 @@ from plc import (
     EvalError,
     Iff,
     Implies,
-    MDM,
     Not,
     QuasiMDM,
     Signature,
@@ -124,13 +123,13 @@ def test_checking_inconsistent_model_is_an_error():
 
 def test_mdm_singleton_reflexive():
     sig = Signature(("p",), ("0", "1"))
-    M = MDM(sig, ["w"], {"w": (frozenset({"p"}), "1")}, [["w"]], [["w"]])
+    M = QuasiMDM(sig, ["w"], {"w": (frozenset({"p"}), "1")}, [["w"]], [["w"]])
     assert check_mdm(M, "w", parse_formula("boxI p & boxF p", sig))
 
 
 def test_mdm_rejects_cp_and_dyn():
     sig = Signature(("p",), ("0", "1"))
-    M = MDM(sig, ["w"], {"w": (frozenset({"p"}), "1")}, [["w"]], [["w"]])
+    M = QuasiMDM(sig, ["w"], {"w": (frozenset({"p"}), "1")}, [["w"]], [["w"]])
     with pytest.raises(EvalError):
         check_mdm(M, "w", CP(("p",), Atom("p")))
     with pytest.raises(EvalError):

@@ -15,6 +15,8 @@ from plc import (
     Not,
     SCHEMA_NAMES,
     Signature,
+    SignatureError,
+    Top,
     axiom_instances,
     brute_force_sat,
     check_mdm,
@@ -180,6 +182,24 @@ def test_oracle_bounds_are_hard():
         brute_force_sat(parse_formula("p", sig3), sig3)
     with pytest.raises(ValueError):
         brute_force_sat(F1("p"), SIG1, max_functions=9)
+
+
+def test_sat_open_rejects_a_malformed_value_set_before_searching():
+    bottom = Not(Top())
+    for phi, values in [
+        (bottom, ("Bad!",)),
+        (bottom, ("0", "0")),
+        (Top(), ()),
+        (And(Atom("p"), bottom), ("0", "p")),
+        (Top(), ("Bad!",)),
+    ]:
+        with pytest.raises(SignatureError):
+            sat_open(phi, values)
+    with pytest.raises(EvalError, match="undeclared values"):
+        sat_open(Dec("2"), ("Bad!",))
+    # the fresh atoms of a witness avoid the value names
+    w = sat_open(Dec("_w0"), ("_w0",))
+    assert w is not None and "_w0" not in w.model.sig.atoms
 
 
 def test_sat_open_examples():

@@ -24,9 +24,11 @@ from plc import (
     big_and,
     conj_term,
     expand_cp,
+    is_static,
+    random_formula,
     subformulas,
 )
-from plc.syntax import size
+from plc.syntax import size, validate_formula
 
 import helpers
 
@@ -69,8 +71,6 @@ def test_subformulas_examples():
 
 def test_subformulas_closed_under_subterms():
     rng = random.Random(3)
-    from plc import random_formula
-
     sig = Signature(("p", "q"), ("0", "1"))
     for _ in range(50):
         phi = random_formula(rng, sig, 3, allow_cp=True, allow_dyn=True)
@@ -80,16 +80,94 @@ def test_subformulas_closed_under_subterms():
                 assert child in sf
 
 
+SUBFORMULA_FIELDS = ("left", "right", "announced", "sub")
+
+
 def _children(f):
-    if isinstance(f, Not):
-        return [f.sub]
-    if isinstance(f, And):
-        return [f.left, f.right]
-    if isinstance(f, (BoxI, BoxF, CP)):
-        return [f.sub]
-    if isinstance(f, Dyn):
-        return [f.announced, f.sub]
-    return []
+    """The subformulas of f, read off its fields by name, in field order."""
+    return [getattr(f, k) for k in SUBFORMULA_FIELDS if hasattr(f, k)]
+
+
+def test_each_node_class_declares_its_children():
+    p, q = Atom("p"), Atom("q")
+    nodes = [p, Dec("1"), Top(), Not(p), And(p, q), BoxI(p), BoxF(q), CP(("q", "r"), p), Dyn(p, q)]
+    assert {type(f) for f in nodes} == {Atom, Dec, Top, Not, And, BoxI, BoxF, CP, Dyn}
+    swap = {p: q, q: Not(p)}
+    for f in nodes:
+        assert f.children() == tuple(_children(f))
+        assert f.map(lambda g: g) is f
+        calls = []
+        mapped = f.map(lambda g: calls.append(g) or swap[g])
+        assert calls == list(f.children())
+        if not calls:  # a leaf
+            assert mapped is f
+            continue
+        rebuilt = type(f)(*(swap[getattr(f, k)] if k in SUBFORMULA_FIELDS else getattr(f, k)
+                            for k in f._fields))
+        assert mapped == rebuilt and mapped is not f
+    assert CP(("q", "r"), p).map(swap.get).atoms == ("q", "r")
+    # a child that comes back equal but not identical rebuilds the node
+    node = Not(p)
+    assert node.map(lambda g: Atom("p")) is not node
+
+
+def test_structural_walks_agree_with_a_field_walker():
+    sigs = [Signature(("p", "q"), ("0", "1")), Signature(("p", "q", "r"), ("0", "1", "2"))]
+    narrow = Signature(("p",), ("0",))
+    rng = random.Random(11)
+    for i in range(1000):
+        phi = random_formula(rng, sigs[i % 2], 4, allow_cp=True, allow_dyn=True)
+        nodes, seen, stack = 0, set(), [phi]
+        atoms, values, static = set(), set(), True
+        while stack:
+            f = stack.pop()
+            nodes += 1
+            seen.add(f)
+            stack += _children(f)
+            if isinstance(f, Atom):
+                atoms.add(f.name)
+            elif isinstance(f, Dec):
+                values.add(f.value)
+            elif isinstance(f, CP):
+                atoms.update(f.atoms)
+            elif isinstance(f, Dyn):
+                static = False
+        assert size(phi) == nodes
+        assert subformulas(phi) == seen
+        assert atoms_of(phi) == atoms
+        assert is_static(phi) == static
+        validate_formula(phi, sigs[i % 2])
+        bad_atoms, bad_values = sorted(atoms - {"p"}), sorted(values - {"0"})
+        if bad_atoms or bad_values:
+            want = f"unknown atom {bad_atoms[0]!r}" if bad_atoms else f"unknown value {bad_values[0]!r}"
+            with pytest.raises(SignatureError, match=f"^{want}$"):
+                validate_formula(phi, narrow)
+        else:
+            validate_formula(phi, narrow)
+
+
+def test_undeclared_name_errors_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from plc import And, Atom, Signature, SignatureError, build_mcm\n"
+        "from plc.syntax import validate_formula\n"
+        "sig = Signature(('p',), ('0', '1'))\n"
+        "phi = And(Atom('x'), And(Atom('y'), Atom('z')))\n"
+        "for check in (lambda: validate_formula(phi, sig), lambda: build_mcm(sig, constraints=[phi])):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except SignatureError as e:\n"
+        "        print(e)\n"
+    )
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["unknown atom 'x'"] * 2
 
 
 def test_atoms_of():
