@@ -17,9 +17,9 @@ from .syntax import (
     Implies,
     Not,
     Top,
+    _cp_expansion_nodes,
     _expand_cp_ordered,
     is_static,
-    size,
 )
 
 
@@ -86,31 +86,33 @@ def simplify(phi: Formula) -> Formula:
 def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     """Expand every ceteris-paribus modality into its boxed case split.
 
-    Exponential in the index-set sizes; guarded by a node budget, charged
-    the size of each expansion.  Results are memoized per call, keyed by the
-    formulas, and a subtree without a ceteris-paribus modality is returned
-    as it is.  A repeated subtree spends again the units its first
-    computation spent, so the budget is charged as if nothing were
-    memoized.
+    Exponential in the index-set sizes; guarded by a budget on the nodes
+    built (`max_nodes`, default `DEFAULT_REWRITE_NODES`).  Results are
+    memoized per call, keyed by the formulas, so each distinct subformula is
+    rewritten and charged once, and a subtree without a ceteris-paribus
+    modality is returned as it is.  An expansion over n atoms is charged
+    `_cp_expansion_nodes(n)` before it is built, a rebuilt node one.
     """
-    meter = BudgetMeter(max_nodes or DEFAULT_REWRITE_NODES, "ceteris-paribus expansion")
-    memo: dict[Formula, tuple[Formula | None, int]] = {}  # None: returned as it is
+    meter = BudgetMeter(
+        DEFAULT_REWRITE_NODES if max_nodes is None else max_nodes, "ceteris-paribus expansion"
+    )
+    memo: dict[Formula, Formula] = {}
 
     def rec(f: Formula) -> Formula:
         if isinstance(f, (Atom, Dec, Top)):
             return f
-        hit = memo.get(f)
-        if hit is not None:  # f itself, not the equal subtree memoized first
-            meter.spend(hit[1])
-            return f if hit[0] is None else hit[0]
-        start = meter.used
-        if isinstance(f, CP):
-            out = _expand_cp_ordered(f.atoms, rec(f.sub))
-            meter.spend(size(out))
-        else:
-            out = f.map(rec)
-        memo[f] = (None if out is f else out), meter.used - start
-        return out
+        out = memo.get(f)
+        if out is None:
+            if isinstance(f, CP):
+                sub = rec(f.sub)
+                meter.spend(_cp_expansion_nodes(len(f.atoms)))
+                out = _expand_cp_ordered(f.atoms, sub)
+            else:
+                out = f.map(rec)
+                if out is not f:
+                    meter.spend(1)
+            memo[f] = out
+        return f if out == f else out  # unchanged: f itself, not the equal subtree memoized first
 
     try:
         return rec(phi)
@@ -123,76 +125,63 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
 
     Updates are pushed innermost-first through negation, conjunction, both
     boxes, atoms and decision atoms; a ceteris-paribus modality in the scope
-    is expanded before the push.  Each law application strictly shrinks the
-    scope measure (checked); the result contains no update node.
+    is expanded before the push.  Each law recurses only into the scope's
+    immediate subformulas, so the push ends; the result contains no update
+    node (checked).
 
-    Sizes and pushes are memoized per call, keyed by the formulas, so the
-    work is linear in the distinct (announcement, scope) pairs, and an
-    update-free subtree is returned as it is.  The budget is charged as if
-    nothing were memoized: a repeated push spends again the units its first
-    computation spent, so whether the budget is exceeded does not depend on
-    the memo.
+    Rewrites and pushes are memoized per call, keyed by the formulas, so the
+    work is linear in the distinct subformulas and (announcement, scope)
+    pairs, and an update-free subtree is returned as it is.  The budget
+    (`max_nodes`, default `DEFAULT_REWRITE_NODES`) counts the nodes built,
+    once per distinct subformula or pair, each charged before it is built;
+    an expansion over n atoms is charged `_cp_expansion_nodes(n)`.
     """
-    meter = BudgetMeter(max_nodes or DEFAULT_REWRITE_NODES, "update reduction")
-    sizes: dict[Formula, int] = {}
-    pushed: dict[tuple[Formula, Formula], tuple[Formula, int]] = {}
-
-    def size_of(f: Formula) -> int:
-        n = sizes.get(f)
-        if n is None:
-            n = sizes[f] = 1 + sum(map(size_of, f.children()))
-        return n
+    meter = BudgetMeter(
+        DEFAULT_REWRITE_NODES if max_nodes is None else max_nodes, "update reduction"
+    )
+    memo: dict[Formula, Formula] = {}
+    pushed: dict[tuple[Formula, Formula], Formula] = {}
 
     def push(ann: Formula, scope: Formula) -> Formula:
         # `ann` and `scope` are already update-free
-        hit = pushed.get((ann, scope))
-        if hit is not None:
-            meter.spend(hit[1])
-            return hit[0]
-        start = meter.used
+        out = pushed.get((ann, scope))
+        if out is not None:
+            return out
         if isinstance(scope, CP):
-            expanded = _expand_cp_ordered(scope.atoms, scope.sub)
-            meter.spend(size_of(expanded))
-            out = push(ann, expanded)
+            meter.spend(_cp_expansion_nodes(len(scope.atoms)))
+            out = push(ann, _expand_cp_ordered(scope.atoms, scope.sub))
+        elif isinstance(scope, And):
+            meter.spend(1)
+            out = And(push(ann, scope.left), push(ann, scope.right))
+        elif isinstance(scope, (Atom, Dec, Top)):
+            meter.spend(4)  # the guard BoxI(ann) and the implication's three nodes
+            out = Implies(BoxI(ann), scope)
+        elif isinstance(scope, (Not, BoxI, BoxF)):
+            meter.spend(5)  # the same and the rebuilt connective
+            out = Implies(BoxI(ann), type(scope)(push(ann, scope.sub)))
         else:
-            guard = BoxI(ann)
-            before = size_of(scope)
-            if isinstance(scope, (Atom, Dec, Top)):
-                out = Implies(guard, scope)
-                residual = 0
-            elif isinstance(scope, Not):
-                out = Implies(guard, Not(push(ann, scope.sub)))
-                residual = size_of(scope.sub)
-            elif isinstance(scope, And):
-                out = And(push(ann, scope.left), push(ann, scope.right))
-                residual = size_of(scope.left) + size_of(scope.right)
-            elif isinstance(scope, BoxI):
-                out = Implies(guard, BoxI(push(ann, scope.sub)))
-                residual = size_of(scope.sub)
-            elif isinstance(scope, BoxF):
-                out = Implies(guard, BoxF(push(ann, scope.sub)))
-                residual = size_of(scope.sub)
-            else:
-                raise RuntimeError(f"internal error: update operator in a reduced scope: {scope!r}")
-            if residual >= before:
-                raise RuntimeError(
-                    "internal error: reduction law failed to shrink the scope measure"
-                )
-            meter.spend(size_of(out) if residual == 0 else before)
-        pushed[ann, scope] = out, meter.used - start
+            raise RuntimeError(f"internal error: update operator in a reduced scope: {scope!r}")
+        pushed[ann, scope] = out
         return out
 
     def rec(f: Formula) -> Formula:
-        if isinstance(f, Dyn):
-            a = rec(f.announced)
-            size_of(a)  # sized here, where the stack is shallower than in the push
-            return push(a, rec(f.sub))
-        return f.map(rec)
+        if isinstance(f, (Atom, Dec, Top)):
+            return f
+        out = memo.get(f)
+        if out is None:
+            if isinstance(f, Dyn):
+                out = push(rec(f.announced), rec(f.sub))
+            else:
+                out = f.map(rec)
+                if out is not f:
+                    meter.spend(1)
+            memo[f] = out
+        return f if out == f else out  # unchanged: f itself, not the equal subtree memoized first
 
     try:
         out = rec(phi)
     finally:
-        del size_of, push, rec  # free the self-referencing closures and the memos now
+        del push, rec  # free the self-referencing closures and the memos now
     if not is_static(out):
         raise RuntimeError("internal error: update operator left after reduction")
     return out

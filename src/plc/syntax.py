@@ -396,6 +396,14 @@ def conj_term(positive: Iterable[str], over: Iterable[str], sig: Signature) -> F
     return big_and(lits)
 
 
+def _cp_expansion_nodes(n: int) -> int:
+    """An upper bound on the nodes `_expand_cp_ordered` builds over n atoms:
+    each of the 2^n clauses has a guard of at most 2n literal nodes and
+    n - 1 conjunctions (or one truth), seven nodes around it and one
+    conjunction joining it to the others."""
+    return (3 * n + 8) << n
+
+
 def _expand_cp_ordered(xs: tuple[str, ...], phi: Formula) -> Formula:
     """Expansion of the ceteris-paribus modality over an ordered index set."""
     clauses: list[Formula] = []

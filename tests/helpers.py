@@ -6,8 +6,14 @@ Everything is seeded through an explicit random.Random so failures replay.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import plc
 from plc import (
     MCM,
     Atom,
@@ -25,6 +31,43 @@ from plc.syntax import And, BoxF, BoxI, Not
 
 VALS = ("0", "1")
 ATOM_POOL = ("p", "q", "r")
+
+
+CHILD_MEMORY = 512 * 2**20  # bytes of address space for a capped CLI child
+
+
+def doubled(f0, n):
+    """f_{k+1} = f_k & ~~f_k: a formula DAG of 3n + |f0| nodes whose tree has
+    2^n copies of f0."""
+    f = f0
+    for _ in range(n):
+        f = And(f, Not(Not(f)))
+    return f
+
+
+def run_cli_capped(*argv: str, timeout: float = 60.0) -> tuple[subprocess.CompletedProcess, float]:
+    """Run `python -m plc.cli` in a child whose address space is capped at
+    CHILD_MEMORY, so a table that is not checked before it is allocated ends
+    in a MemoryError there rather than in this process.  Returns the
+    finished process and the child's CPU seconds."""
+
+    def cap() -> None:  # runs in the child, between fork and exec
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    src = str(Path(plc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(
+        [sys.executable, "-m", "plc.cli", *argv],
+        env=env,
+        preexec_fn=cap,
+        timeout=timeout,
+        capture_output=True,
+        text=True,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return done, cpu
 
 
 def random_signature(rng: random.Random, max_atoms: int = 3) -> Signature:

@@ -3,6 +3,7 @@ import pytest
 from plc.cli import main
 from plc import Signature, build_mcm, dumps_mcm, dumps_mdm, mcm_to_mdm
 
+import helpers
 from conftest import EX_CONSTRAINTS
 
 
@@ -238,6 +239,31 @@ def test_sat_refuses_a_type_table_beyond_the_budget(capsys, tmp_path):
             "-f", "boxI " * 40 + "p", "-o", str(tmp_path / "w.plc"),
         )
         assert code == 3 and out.strip() == "RESOURCE-OUT"
+
+
+def test_sat_decides_five_nested_updates(capsys, tmp_path):
+    # the reduction is a DAG of about 1,300 nodes whose tree is far larger:
+    # it is charged by the nodes built, so it completes and is decided
+    out_path = tmp_path / "w.plc"
+    formula = "[!(p->=1)][!(q->=0)][!boxF(p|=1)][!~boxI =0][!(p->=1)] boxF =1"
+    code, out, _ = run(
+        capsys, "sat", "--mode", "finite", "--atoms", "p,q", "--vals", "0,1",
+        "-f", formula, "-o", str(out_path),
+    )
+    assert code == 0 and out.strip() == f"SAT\t{out_path}"
+    code, out, _ = run(capsys, "check", "-m", str(out_path), "-f", formula)
+    assert code == 0 and out.strip() == "TRUE"
+
+
+def test_a_large_index_set_is_refused_before_it_is_built():
+    # 2^24 clauses: refused by their count, in a child whose memory is capped
+    atoms = ",".join(f"a{i}" for i in range(24))
+    done, cpu = helpers.run_cli_capped(
+        "sat", "--mode", "finite", "--atoms", atoms, "--vals", "0,1", "-f", f"[{atoms}] a0"
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout.strip() == "RESOURCE-OUT"
+    assert cpu < 1.0
 
 
 def test_reports_are_byte_identical_across_runs(capsys, ex_file):

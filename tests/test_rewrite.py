@@ -24,9 +24,8 @@ from plc import (
     simplify,
     subformulas,
 )
-from plc.config import DEFAULT_REWRITE_NODES, BudgetMeter
 from plc.models import PointedMCM
-from plc.syntax import _expand_cp_ordered, size
+from plc.syntax import _cp_expansion_nodes, _expand_cp_ordered
 
 import helpers
 
@@ -101,29 +100,20 @@ def test_reduction_budget_guard():
         reduce_dynamic(phi, max_nodes=10)
 
 
-def _reference_reduce(phi, cap):
-    """The six reduction laws as a plain recursion, without memos: each
-    application charges the output size at a leaf and the scope size above,
-    and a ceteris-paribus scope charges its expansion."""
-    meter = BudgetMeter(cap, "update reduction")
+def _reference_reduce(phi):
+    """The six reduction laws as a plain recursion, without memos or budget;
+    a ceteris-paribus scope is expanded before the push."""
 
     def push(ann, scope):
         guard = BoxI(ann)
         if isinstance(scope, (Atom, Dec, Top)):
-            out = Implies(guard, scope)
-            meter.spend(size(out))
-            return out
+            return Implies(guard, scope)
         if isinstance(scope, CP):
-            expanded = _expand_cp_ordered(scope.atoms, scope.sub)
-            meter.spend(size(expanded))
-            return push(ann, expanded)
+            return push(ann, _expand_cp_ordered(scope.atoms, scope.sub))
         if isinstance(scope, And):
-            out = And(push(ann, scope.left), push(ann, scope.right))
-        else:
-            wrap = type(scope) if isinstance(scope, (BoxI, BoxF)) else Not
-            out = Implies(guard, wrap(push(ann, scope.sub)))
-        meter.spend(size(scope))
-        return out
+            return And(push(ann, scope.left), push(ann, scope.right))
+        wrap = type(scope) if isinstance(scope, (BoxI, BoxF)) else Not
+        return Implies(guard, wrap(push(ann, scope.sub)))
 
     def rec(f):
         if isinstance(f, (Not, BoxI, BoxF)):
@@ -177,23 +167,43 @@ def _random_dynamic(rng, depth):
     return {"not": Not, "boxI": BoxI, "boxF": BoxF}[op](_random_dynamic(rng, depth - 1))
 
 
+def _unshared(f):
+    """A copy of f in which no two nodes are the same object."""
+    if not f.children():
+        return type(f)(*(getattr(f, name) for name in f._fields))
+    return f.map(_unshared)
+
+
+def _shared(f, seen=None):
+    """A copy of f in which equal subtrees are one object."""
+    seen = {} if seen is None else seen
+    return seen.setdefault(f, f.map(lambda x: _shared(x, seen)))
+
+
 def test_reduction_matches_the_plain_recursion_and_its_budget():
     rng = random.Random(5)
-    raised = 0
+    outcomes = set()
     for _ in range(1000):
         phi = _random_dynamic(rng, rng.randint(3, 6))
+        want = tuple(_dag(_reference_reduce(phi)))
+        got = []
         for cap in (50, 500, 5000, None):
-            try:
-                want = _dag(_reference_reduce(phi, cap or DEFAULT_REWRITE_NODES))
-            except BudgetExceeded:
-                want = None
-            try:
-                got = _dag(reduce_dynamic(phi, max_nodes=cap))
-            except BudgetExceeded:
-                got = None
-            assert got == want, (phi, cap)
-            raised += want is None
-    assert 0 < raised < 4000  # both outcomes occur
+            # how the formula's equal subtrees are shared does not change the
+            # charge, which counts each distinct subformula and pair once
+            seen = set()
+            for f in (phi, _unshared(phi), _shared(phi)):
+                try:
+                    seen.add(tuple(_dag(reduce_dynamic(f, max_nodes=cap))))
+                except BudgetExceeded:
+                    seen.add(None)
+            assert len(seen) == 1, (phi, cap)
+            (out,) = seen
+            assert out is None or out == want, (phi, cap)
+            got.append(out is not None)
+        assert got == sorted(got), phi  # success is monotone in the cap
+        assert got[-1], phi
+        outcomes.update(got)
+    assert outcomes == {False, True}  # both outcomes occur
 
 
 def test_simplify_examples():
@@ -243,17 +253,85 @@ def test_simplify_and_cp_free_return_unchanged_input_as_it_is():
     assert out == And(p, Atom("q")) and out.left is p
 
 
-def test_cp_free_charges_a_repeated_subtree_each_time():
-    # equal subtrees built apart: a tree, charged as if nothing were memoized
+def test_cp_free_charges_a_repeated_subtree_once():
+    # equal subtrees built apart cost what shared ones cost: each distinct
+    # expansion is charged once, and so is each distinct rebuilt node
     def inner():
         return CP(("p",), Atom("q"))
 
-    def outer():
-        return CP(("q",), And(inner(), inner()))
+    def outer(i=None, j=None):
+        return CP(("q",), And(i or inner(), j or inner()))
 
-    phi = And(outer(), Not(outer()))
-    # cp_free of a lone modality is its expansion, which is what it is charged
-    charge = 2 * (2 * size(cp_free(inner())) + size(cp_free(outer())))
-    assert cp_free(phi, max_nodes=charge) == And(cp_free(outer()), Not(cp_free(outer())))
-    with pytest.raises(BudgetExceeded):
-        cp_free(phi, max_nodes=charge - 1)
+    apart = And(outer(), Not(outer()))
+    i = inner()
+    o = outer(i, i)
+    shared = And(o, Not(o))
+    # two expansions over one atom; the conjunction under [q], the root and
+    # its negation rebuilt
+    charge = 2 * _cp_expansion_nodes(1) + 3
+    want = And(cp_free(outer()), Not(cp_free(outer())))
+    for phi in (apart, shared):
+        assert cp_free(phi, max_nodes=charge) == want
+        with pytest.raises(BudgetExceeded):
+            cp_free(phi, max_nodes=charge - 1)
+
+
+def test_a_zero_cap_allows_no_node():
+    p, q = Atom("p"), Atom("q")
+    static = And(BoxI(p), Not(CP(("q",), Dec("1"))))
+    for rewrite, builds, nothing in (
+        (cp_free, CP(("p",), p), And(BoxI(p), Not(q))),
+        (cp_free, Not(CP(("p",), p)), static.left),
+        (reduce_dynamic, Dyn(q, p), static),
+        (reduce_dynamic, Not(Dyn(q, p)), q),
+    ):
+        with pytest.raises(BudgetExceeded):
+            rewrite(builds, max_nodes=0)
+        assert rewrite(nothing, max_nodes=0) is nothing
+
+
+def test_cp_expansion_nodes_bounds_the_nodes_built():
+    for n in range(7):
+        xs = tuple("abcdefg"[:n])
+        phi = Atom("z")
+        built, stack = set(), [_expand_cp_ordered(xs, phi)]
+        while stack:
+            f = stack.pop()
+            if f is not phi and id(f) not in built:
+                built.add(id(f))
+                stack += f.children()
+        assert len(built) <= _cp_expansion_nodes(n)
+
+
+def test_rewrites_of_a_doubled_formula_do_its_dag_work():
+    import time
+
+    # f40 is a DAG of 122 nodes whose tree has 2^40 copies of boxI p
+    p, q = Atom("p"), Atom("q")
+    f40 = helpers.doubled(BoxI(p), 40)
+    for rewrite, phi in (
+        (cp_free, CP(("p",), f40)),
+        (reduce_dynamic, Dyn(q, CP(("p",), f40))),
+        (reduce_dynamic, Dyn(f40, q)),
+    ):
+        start = time.process_time()
+        out = rewrite(phi)
+        assert time.process_time() - start < 0.1
+        assert not any(isinstance(f, (CP, Dyn)) for f in subformulas(out))
+
+
+def test_an_expansion_is_refused_before_it_is_built():
+    import tracemalloc
+
+    xs = tuple(f"a{i}" for i in range(14))
+    big = CP(xs, Atom("a0"))
+    charge = _cp_expansion_nodes(len(xs))
+    for rewrite, phi in ((cp_free, big), (reduce_dynamic, Dyn(Atom("a1"), big))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                rewrite(phi, max_nodes=charge - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -383,37 +383,112 @@ def test_funct_instances_cycle_all_subsets():
     assert len(set(instances)) >= 4  # all four atom subsets appear
 
 
-def _doubled(f0, n):
-    """f_{k+1} = f_k & ~~f_k: a formula DAG of 3n + |f0| nodes whose tree has
-    2^n copies of f0."""
-    f = f0
-    for _ in range(n):
-        f = And(f, Not(Not(f)))
-    return f
-
-
 def test_queries_cost_the_formula_dag_not_its_tree():
     import time
 
     p = Atom("p")
     for f0, want in ((BoxI(p), True), (BoxI(CP(("p",), p)), True)):
-        small = _doubled(f0, 3)
+        small = helpers.doubled(f0, 3)
         assert (sat_finite(small, SIG2) is not None) == want
         assert (sat_open(small, SIG2.values) is not None) == want
         assert valid_finite(small, SIG2) is False
-    # a tree of 2^40 copies of f0: without ceteris-paribus it is decided,
-    # with it the expansion's charge, counted per tree copy, ends the query
-    for f0, ends in ((BoxI(p), None), (BoxI(CP(("p",), p)), BudgetExceeded)):
-        big = _doubled(f0, 40)
+    # a tree of 2^40 copies of f0, with or without ceteris-paribus: the
+    # rewrites and the search do the formula DAG's work, and decide it
+    for f0 in (BoxI(p), BoxI(CP(("p",), p))):
+        big = helpers.doubled(f0, 40)
         for query in (
             lambda: sat_finite(big, SIG2) is not None,
             lambda: sat_open(big, SIG2.values) is not None,
             lambda: not valid_finite(big, SIG2),
         ):
             start = time.process_time()
-            if ends is None:
-                assert query()
-            else:
-                with pytest.raises(ends, match="ceteris-paribus expansion"):
-                    query()
+            assert query()
             assert time.process_time() - start < 1.0
+
+
+def _random_one_classifier(rng, depth):
+    """A boxF-free formula over atoms 0-2 and values 0/1, as nested tuples."""
+    if depth == 0 or rng.random() < 0.2:
+        r = rng.random()
+        return ("atom", rng.randrange(3)) if r < 0.55 else ("dec", rng.choice("01")) if r < 0.9 else ("top",)
+    op = rng.choice(("not", "not", "and", "and", "boxI", "cp"))
+    if op == "and":
+        return (op, _random_one_classifier(rng, depth - 1), _random_one_classifier(rng, depth - 1))
+    if op == "cp":
+        return (op, rng.randrange(1, 8), _random_one_classifier(rng, depth - 1))
+    return (op, _random_one_classifier(rng, depth - 1))
+
+
+def _one_classifier_satisfiable(phi):
+    """Whether some (S, f, s) satisfies phi: S a nonempty set of the 8
+    valuations of 3 atoms (valuation s has atom i iff bit i of s is set),
+    f: S -> {0, 1} and s in S.  Sets of valuations are 8-bit masks, and a
+    formula evaluates to the mask of the states of S where it holds."""
+    agree = [[sum(1 << t for t in range(8) if not (t ^ s) & xs) for s in range(8)] for xs in range(8)]
+    has = [sum(1 << s for s in range(8) if s >> i & 1) for i in range(3)]
+
+    def ev(f, S, ones):
+        op = f[0]
+        if op == "atom":
+            return has[f[1]] & S
+        if op == "dec":
+            return ones if f[1] == "1" else S & ~ones
+        if op == "top":
+            return S
+        if op == "not":
+            return S & ~ev(f[1], S, ones)
+        if op == "and":
+            return ev(f[1], S, ones) & ev(f[2], S, ones)
+        if op == "boxI":
+            return S if ev(f[1], S, ones) == S else 0
+        sub = ev(f[2], S, ones)  # cp: every state of S agreeing on the index set
+        return sum(1 << s for s in range(8) if S >> s & 1 and agree[f[1]][s] & S & ~sub == 0)
+
+    for S in range(1, 256):
+        ones = S
+        while True:  # every f: S -> {0, 1}, as the set of states it sends to 1
+            if ev(phi, S, ones):
+                return True
+            if ones == 0:
+                break
+            ones = (ones - 1) & S
+    return False
+
+
+def _to_formula(f):
+    names = ("p", "q", "r")
+    op = f[0]
+    if op == "atom":
+        return Atom(names[f[1]])
+    if op == "dec":
+        return Dec(f[1])
+    if op == "top":
+        return Top()
+    if op == "not":
+        return Not(_to_formula(f[1]))
+    if op == "and":
+        return And(_to_formula(f[1]), _to_formula(f[2]))
+    if op == "boxI":
+        return BoxI(_to_formula(f[1]))
+    return CP([names[i] for i in range(3) if f[1] >> i & 1], _to_formula(f[2]))
+
+
+def test_sat_finite_agrees_with_a_one_classifier_oracle_at_three_atoms():
+    # a boxF-free formula sees only the current classifier, so it is
+    # satisfiable iff a model with one classifier satisfies it: 6,560 (S, f)
+    # pairs at 3 atoms and 2 values, searched here without the solver
+    sig = Signature(("p", "q", "r"), ("0", "1"))
+    rng = random.Random(77)
+    answers = []
+    for _ in range(200):
+        phi = _random_one_classifier(rng, 4)
+        want = _one_classifier_satisfiable(phi)
+        try:
+            got = sat_finite(_to_formula(phi), sig) is not None
+        except BudgetExceeded:  # a third answer, never a disagreement
+            continue
+        assert got == want, phi
+        answers.append(want)
+    # the type table of a formula with several expanded [X] can outgrow the
+    # budget (2 of these 200); both answers occur among the rest
+    assert len(answers) >= 190 and any(answers) and not all(answers)
