@@ -13,9 +13,9 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
-from .config import BudgetExceeded
+from .config import DEFAULT_REWRITE_NODES, BudgetExceeded, BudgetMeter
 from .parser import parse_formula, render_formula
-from .syntax import FRESH_PREFIX, Signature, is_static
+from .syntax import FRESH_PREFIX, Signature, is_static, size
 
 # each command imports the modules it uses, so that a one-query process
 # loads only those
@@ -192,9 +192,10 @@ def _cmd_update(args) -> int:
 def _cmd_reduce(args) -> int:
     from .rewrite import reduce_dynamic
 
-    sig = _signature(args)
-    phi = parse_formula(args.formula, sig)
-    print(render_formula(reduce_dynamic(phi)))
+    out = reduce_dynamic(parse_formula(args.formula, _signature(args)))
+    # the printed tree can be far larger than the DAG the reduction built
+    BudgetMeter(DEFAULT_REWRITE_NODES, "printing the reduction").spend(size(out))
+    print(render_formula(out))
     return 0
 
 

@@ -17,6 +17,7 @@ from .syntax import (
     Implies,
     Not,
     Top,
+    _IMPLIES_NODES,
     _cp_expansion_nodes,
     _expand_cp_ordered,
     is_static,
@@ -96,23 +97,23 @@ def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     meter = BudgetMeter(
         DEFAULT_REWRITE_NODES if max_nodes is None else max_nodes, "ceteris-paribus expansion"
     )
-    memo: dict[Formula, Formula] = {}
+    memo: dict[Formula, Formula | bool] = {}  # False: returned as it is
 
     def rec(f: Formula) -> Formula:
         if isinstance(f, (Atom, Dec, Top)):
             return f
-        out = memo.get(f)
-        if out is None:
-            if isinstance(f, CP):
-                sub = rec(f.sub)
-                meter.spend(_cp_expansion_nodes(len(f.atoms)))
-                out = _expand_cp_ordered(f.atoms, sub)
-            else:
-                out = f.map(rec)
-                if out is not f:
-                    meter.spend(1)
-            memo[f] = out
-        return f if out == f else out  # unchanged: f itself, not the equal subtree memoized first
+        got = memo.get(f)
+        if got is not None:  # f itself, not the equal subtree memoized first
+            return f if got is False else got
+        if isinstance(f, CP):
+            meter.spend(_cp_expansion_nodes(len(f.atoms)))
+            out = _expand_cp_ordered(f.atoms, rec(f.sub))
+        else:
+            out = f.map(rec)
+            if out is not f:
+                meter.spend(1)
+        memo[f] = False if out is f else out
+        return out
 
     try:
         return rec(phi)
@@ -139,7 +140,7 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     meter = BudgetMeter(
         DEFAULT_REWRITE_NODES if max_nodes is None else max_nodes, "update reduction"
     )
-    memo: dict[Formula, Formula] = {}
+    memo: dict[Formula, Formula | bool] = {}  # False: returned as it is
     pushed: dict[tuple[Formula, Formula], Formula] = {}
 
     def push(ann: Formula, scope: Formula) -> Formula:
@@ -154,10 +155,10 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
             meter.spend(1)
             out = And(push(ann, scope.left), push(ann, scope.right))
         elif isinstance(scope, (Atom, Dec, Top)):
-            meter.spend(4)  # the guard BoxI(ann) and the implication's three nodes
+            meter.spend(1 + _IMPLIES_NODES)  # the guard BoxI(ann) and the implication
             out = Implies(BoxI(ann), scope)
         elif isinstance(scope, (Not, BoxI, BoxF)):
-            meter.spend(5)  # the same and the rebuilt connective
+            meter.spend(2 + _IMPLIES_NODES)  # the same and the rebuilt connective
             out = Implies(BoxI(ann), type(scope)(push(ann, scope.sub)))
         else:
             raise RuntimeError(f"internal error: update operator in a reduced scope: {scope!r}")
@@ -167,16 +168,17 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     def rec(f: Formula) -> Formula:
         if isinstance(f, (Atom, Dec, Top)):
             return f
-        out = memo.get(f)
-        if out is None:
-            if isinstance(f, Dyn):
-                out = push(rec(f.announced), rec(f.sub))
-            else:
-                out = f.map(rec)
-                if out is not f:
-                    meter.spend(1)
-            memo[f] = out
-        return f if out == f else out  # unchanged: f itself, not the equal subtree memoized first
+        got = memo.get(f)
+        if got is not None:  # f itself, not the equal subtree memoized first
+            return f if got is False else got
+        if isinstance(f, Dyn):
+            out = push(rec(f.announced), rec(f.sub))
+        else:
+            out = f.map(rec)
+            if out is not f:
+                meter.spend(1)
+        memo[f] = False if out is f else out
+        return out
 
     try:
         out = rec(phi)

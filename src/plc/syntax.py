@@ -273,6 +273,9 @@ def Implies(left: Formula, right: Formula) -> Formula:
     return Not(And(left, Not(right)))
 
 
+_IMPLIES_NODES = 3  # the nodes `Implies` builds around its arguments
+
+
 def Iff(left: Formula, right: Formula) -> Formula:
     return And(Implies(left, right), Implies(right, left))
 
@@ -310,13 +313,16 @@ def big_or(parts: Iterable[Formula]) -> Formula:
 
 
 def size(phi: Formula) -> int:
-    """Number of AST nodes."""
-    n = 0
+    """Number of nodes of phi's tree, counted in one walk of its DAG."""
+    count: dict[int, int] = {}  # keyed by id: phi holds every node
     stack = [phi]
     while stack:
-        n += 1
-        stack += stack.pop().children()
-    return n
+        f = stack[-1]
+        todo = [c for c in f.children() if id(c) not in count]
+        stack += todo
+        if not todo:
+            count[id(stack.pop())] = 1 + sum(count[id(c)] for c in f.children())
+    return count[id(phi)]
 
 
 def subformulas(phi: Formula, plus: bool = False, sig: Signature | None = None) -> frozenset[Formula]:
@@ -408,10 +414,7 @@ def _expand_cp_ordered(xs: tuple[str, ...], phi: Formula) -> Formula:
     """Expansion of the ceteris-paribus modality over an ordered index set."""
     clauses: list[Formula] = []
     for ymask in range((1 << len(xs)) - 1, -1, -1):
-        lits: list[Formula] = []
-        for i, a in enumerate(xs):
-            lits.append(Atom(a) if ymask >> i & 1 else Not(Atom(a)))
-        guard = big_and(lits)
+        guard = big_and(Atom(a) if ymask >> i & 1 else Not(Atom(a)) for i, a in enumerate(xs))
         clauses.append(Implies(guard, BoxI(Implies(guard, phi))))
     return big_and(clauses)
 

@@ -266,6 +266,19 @@ def test_a_large_index_set_is_refused_before_it_is_built():
     assert cpu < 1.0
 
 
+def test_a_reduction_whose_tree_is_too_large_is_not_printed():
+    # each update copies the 1,024-atom announcement at every non-conjunction
+    # node of its scope: a DAG of a few thousand nodes, a tree of about 2e9
+    def balanced(n):
+        return "p" if n == 1 else f"({balanced(n // 2)} & {balanced(n - n // 2)})"
+
+    formula = f"[!{balanced(1024)}]" * 3 + " p"
+    done, cpu = helpers.run_cli_capped("reduce", "--atoms", "p", "--vals", "0,1", "-f", formula)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout.strip() == "RESOURCE-OUT"
+    assert cpu < 1.0
+
+
 def test_reports_are_byte_identical_across_runs(capsys, ex_file):
     outs = set()
     for _ in range(2):

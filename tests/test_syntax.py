@@ -262,6 +262,11 @@ def test_size():
     assert size(And(Atom("p"), Not(Atom("q")))) == 4
 
 
+def test_size_counts_the_tree_in_one_walk_of_the_dag():
+    # f_{k+1} = f_k & ~~f_k has 2^k copies of f_0 = boxI p: 5 * 2^k - 3 nodes
+    assert size(helpers.doubled(BoxI(Atom("p")), 100)) == 5 * 2**100 - 3
+
+
 def _values():
     """One instance of every node class, plus a signature and a term."""
     p, q = Atom("p"), Atom("q")
