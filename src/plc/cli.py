@@ -35,6 +35,13 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(p for p in parts if p)
 
 
+def natural(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return n
+
+
 def _signature(args) -> Signature:
     atoms = _names(args.atoms or "")
     for a in atoms:
@@ -110,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", default="")
     p.add_argument("--vals", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--count", type=natural, default=10)
+    p.add_argument("--depth", type=natural, default=2)
 
     return top
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 ENV_BUDGET = "PLC_NODE_BUDGET"
@@ -15,6 +16,12 @@ class BudgetExceeded(RuntimeError):
     This is a third answer distinct from SAT and UNSAT; it is never silently
     converted into either.
     """
+
+
+def magnitude(n: int) -> str:
+    """n in decimal, or as a power of two when it is too long to read (and
+    past 4,300 digits, too long for Python to print)."""
+    return str(n) if n < 1 << 64 else f"2^{math.log2(n):.1f}"
 
 
 def search_budget(override: int | None = None) -> int:
@@ -41,5 +48,5 @@ class BudgetMeter:
         self.used += amount
         if self.used > self.cap:
             raise BudgetExceeded(
-                f"{self.what} exceeded its node budget ({self.used} > {self.cap})"
+                f"{self.what} exceeded its node budget ({magnitude(self.used)} > {self.cap})"
             )

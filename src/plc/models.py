@@ -11,6 +11,7 @@ import itertools
 import warnings
 from typing import Iterable, Mapping, Sequence
 
+from .config import magnitude
 from .semantics import _mcm_extension, grid_extension
 from .syntax import (
     BoxI,
@@ -260,7 +261,7 @@ def build_mcm(
     nv = len(sig.values)
     total = nv**n
     if total > _CONSTRAINT_TABLE_CAP:
-        raise ModelError(f"constraint mode would enumerate {total} candidate functions")
+        raise ModelError(f"constraint mode would enumerate {magnitude(total)} candidate functions")
     k = 0
     while k < n and nv ** (k + 1) <= _CANDIDATE_GRID:
         k += 1

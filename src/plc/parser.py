@@ -14,8 +14,8 @@ Grammar (whitespace-insensitive)::
 
 Atom idents start with a letter; the underscore prefix is reserved for
 machine-generated fresh atoms and only accepted when the signature already
-declares the name.  Rendering produces minimal parentheses and re-parses to a
-structurally identical AST.
+declares the name.  Rendering produces minimal parentheses and re-parses to
+the same formula node.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class _Parser:
         return t
 
     def check_atom(self, name: str, pos: int) -> None:
-        if name in self.sig.atoms:
+        if name in self.sig._atom_pos:  # a dict: a long index set stays linear
             return
         if name.startswith(FRESH_PREFIX):
             raise FormulaSyntaxError(

@@ -31,7 +31,7 @@ def simplify(phi: Formula) -> Formula:
     are memoized per call, keyed by the formulas, and a subtree whose
     children come back unchanged is returned as it is.
     """
-    memo: dict[Formula, Formula | bool] = {}  # False: returned as it is
+    memo: dict[Formula, Formula] = {}
     top = Top()
     bot = Not(top)
 
@@ -41,9 +41,8 @@ def simplify(phi: Formula) -> Formula:
     def rec(f: Formula) -> Formula:
         if isinstance(f, (Atom, Dec, Top)):
             return f
-        got = memo.get(f)
-        if got is not None:  # f itself, not the equal subtree memoized first
-            return f if got is False else got
+        if f in memo:
+            return memo[f]
         if isinstance(f, Not):
             s = rec(f.sub)
             if isinstance(s, Not):
@@ -75,7 +74,7 @@ def simplify(phi: Formula) -> Formula:
                 out = f if a is f.announced and s is f.sub else Dyn(a, s)
         else:
             out = f
-        memo[f] = False if out is f else out
+        memo[f] = out
         return out
 
     try:
@@ -97,14 +96,13 @@ def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     meter = BudgetMeter(
         DEFAULT_REWRITE_NODES if max_nodes is None else max_nodes, "ceteris-paribus expansion"
     )
-    memo: dict[Formula, Formula | bool] = {}  # False: returned as it is
+    memo: dict[Formula, Formula] = {}
 
     def rec(f: Formula) -> Formula:
         if isinstance(f, (Atom, Dec, Top)):
             return f
-        got = memo.get(f)
-        if got is not None:  # f itself, not the equal subtree memoized first
-            return f if got is False else got
+        if f in memo:
+            return memo[f]
         if isinstance(f, CP):
             meter.spend(_cp_expansion_nodes(len(f.atoms)))
             out = _expand_cp_ordered(f.atoms, rec(f.sub))
@@ -112,7 +110,7 @@ def cp_free(phi: Formula, *, max_nodes: int | None = None) -> Formula:
             out = f.map(rec)
             if out is not f:
                 meter.spend(1)
-        memo[f] = False if out is f else out
+        memo[f] = out
         return out
 
     try:
@@ -140,7 +138,7 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     meter = BudgetMeter(
         DEFAULT_REWRITE_NODES if max_nodes is None else max_nodes, "update reduction"
     )
-    memo: dict[Formula, Formula | bool] = {}  # False: returned as it is
+    memo: dict[Formula, Formula] = {}
     pushed: dict[tuple[Formula, Formula], Formula] = {}
 
     def push(ann: Formula, scope: Formula) -> Formula:
@@ -168,16 +166,15 @@ def reduce_dynamic(phi: Formula, *, max_nodes: int | None = None) -> Formula:
     def rec(f: Formula) -> Formula:
         if isinstance(f, (Atom, Dec, Top)):
             return f
-        got = memo.get(f)
-        if got is not None:  # f itself, not the equal subtree memoized first
-            return f if got is False else got
+        if f in memo:
+            return memo[f]
         if isinstance(f, Dyn):
             out = push(rec(f.announced), rec(f.sub))
         else:
             out = f.map(rec)
             if out is not f:
                 meter.spend(1)
-        memo[f] = False if out is f else out
+        memo[f] = out
         return out
 
     try:

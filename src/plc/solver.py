@@ -18,7 +18,7 @@ import functools
 import itertools
 from typing import Callable, Sequence
 
-from .config import BudgetExceeded, BudgetMeter, search_budget
+from .config import BudgetExceeded, BudgetMeter, magnitude, search_budget
 from .models import (
     MCM,
     ClassifierFn,
@@ -388,14 +388,14 @@ def _system_satisfiable(
             arg[p] = 1 << pos[f.sub]
         else:
             raise AssertionError("type search needs an expanded static formula")
-    atoms = tuple(sorted(atom_bit, key=order.index))
+    atoms = tuple(a for a in order if a in atom_bit)
     atom_bits = [atom_bit[a] for a in atoms]
     if copies is not None:
         copies <<= len(order) - len(atoms)
     nvals = len(values)
     cost = len(pos) * nvals << len(boxi) + len(atoms) + len(boxf)
     if cost > meter.cap - meter.used:
-        raise BudgetExceeded(f"{meter.what} cannot fit the {cost} cell truths of its types in its node budget")
+        raise BudgetExceeded(f"{meter.what} cannot fit the {magnitude(cost)} cell truths of its types in its node budget")
     meter.spend(cost)
     rows = _subsets([1 << b for b in boxi])
     cols = [

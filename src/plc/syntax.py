@@ -4,6 +4,7 @@ The primitive connectives are atoms, decision atoms, truth, negation,
 conjunction, the two boxes, the ceteris-paribus modality, and the knowledge
 update operator.  Everything else (or, implication, iff, diamonds, falsity)
 is desugared into primitives at construction time; the printer re-sugars.
+Nodes are interned, so equal formulas are one object (see `Formula`).
 
 Each node class says here, and only here, which of its fields hold
 subformulas: `children()` gives them in field order, and `map(fn)` rebuilds
@@ -18,6 +19,7 @@ one scan of its subformulas.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Callable, Iterable, Iterator
 
 ATOM_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
@@ -30,17 +32,32 @@ class SignatureError(ValueError):
     """Ill-formed signature (bad names, duplicates, atom/value clash)."""
 
 
-class Frozen:
-    """Immutable value with structural equality over the fields in `_fields`.
+class _Immutable:
+    """A value whose `_fields` cannot be assigned; pickles and copies rebuild it."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Frozen(_Immutable):
+    """An immutable flat value with structural equality over its fields.
 
     The hash is computed once, from the class name and the fields, when the
-    value is built (atoms and decision atoms compute theirs when asked, see
-    `_Leaf`).  Pickling and copying rebuild the value through its
-    constructor, so the receiving process recomputes the hash.
+    value is built, so a value pickled in another process gets this
+    process's hash when it is rebuilt.  Formulas are not `Frozen`: they are
+    interned, and equal formulas are one object (see `Formula`).
     """
 
     __slots__ = ("_hash",)
-    _fields: tuple[str, ...] = ()
 
     def __init__(self, *values) -> None:
         if len(values) != len(self._fields):
@@ -52,28 +69,14 @@ class Frozen:
         object.__setattr__(self, "_hash", hash((type(self).__name__, *values)))
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if type(other) is not type(self):
             return NotImplemented
-        if self._hash != other._hash:  # type: ignore[attr-defined]
-            return False
-        for f in self._fields:
-            if getattr(self, f) != getattr(other, f):
-                return False
-        return True
+        return self is other or self._hash == other._hash and all(  # type: ignore[attr-defined]
+            getattr(self, f) == getattr(other, f) for f in self._fields
+        )
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -119,13 +122,31 @@ class Signature(Frozen):
             raise SignatureError(f"unknown value {value!r}")
 
 
-class Formula(Frozen):
-    """Base class; all nodes are immutable values with structural equality.
+_nodes: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (class, *fields) -> node
+
+
+class Formula(_Immutable):
+    """Base class; all nodes are immutable and interned: building a node
+    whose class and fields equal those of a live node returns that node, so
+    equality and hashing are identity.  The table holds live nodes weakly,
+    an entry as long as its node.  Building is not thread-safe.
 
     The base class is a leaf: no children, and `map` returns the node.
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *values):
+        key = (cls, *values)
+        node = _nodes.get(key)
+        if node is None:
+            if len(values) != len(cls._fields):
+                raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments, got {len(values)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            _nodes[key] = node
+        return node
 
     def children(self) -> tuple[Formula, ...]:
         """The immediate subformulas, in field order."""
@@ -133,7 +154,7 @@ class Formula(Frozen):
 
     def map(self, fn: Callable[[Formula], Formula]) -> Formula:
         """This node over fn of each child, called in field order; the node
-        itself when every child comes back as it is."""
+        itself, with no table lookup, when every child comes back as it is."""
         return self
 
     def __repr__(self) -> str:
@@ -145,41 +166,16 @@ class Formula(Frozen):
         return render_formula(self)
 
 
-class _Leaf(Formula):
-    """A node whose one field is a string, which stores no hash.
-
-    Its hash is computed when asked, from its class name and the string,
-    which caches its own.  Atoms and decision atoms are the most numerous
-    nodes, so a formula kept alive holds one int less for each.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, text: str) -> None:
-        object.__setattr__(self, self._fields[0], text)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return getattr(self, self._fields[0]) == getattr(other, self._fields[0])
-
-
-class Atom(_Leaf):
+class Atom(Formula):
     __slots__ = _fields = ("name",)
     name: str
 
-    def __hash__(self) -> int:
-        return hash(("Atom", self.name))
 
-
-class Dec(_Leaf):
+class Dec(Formula):
     """Decision atom: the current classifier outputs this value here."""
 
     __slots__ = _fields = ("value",)
     value: str
-
-    def __hash__(self) -> int:
-        return hash(("Dec", self.value))
 
 
 class Top(Formula):
@@ -187,7 +183,7 @@ class Top(Formula):
 
 
 class _Unary(Formula):
-    """A connective whose one field is its subformula."""
+    """A connective with one subformula, its field `sub`."""
 
     __slots__ = _fields = ("sub",)
     sub: Formula
@@ -229,18 +225,15 @@ class BoxF(_Unary):
     __slots__ = ()
 
 
-class CP(Formula):
+class CP(_Unary):
     """Ceteris-paribus modality: sub holds at all instances agreeing on `atoms`."""
 
-    __slots__ = _fields = ("atoms", "sub")
+    __slots__ = ("atoms",)
+    _fields = ("atoms", "sub")
     atoms: tuple[str, ...]
-    sub: Formula
 
-    def __init__(self, atoms: Iterable[str], sub: Formula) -> None:
-        super().__init__(tuple(sorted(set(atoms))), sub)
-
-    def children(self) -> tuple[Formula, ...]:
-        return (self.sub,)
+    def __new__(cls, atoms: Iterable[str], sub: Formula):
+        return super().__new__(cls, tuple(sorted(set(atoms))), sub)
 
     def map(self, fn: Callable[[Formula], Formula]) -> Formula:
         s = fn(self.sub)
@@ -313,16 +306,17 @@ def big_or(parts: Iterable[Formula]) -> Formula:
 
 
 def size(phi: Formula) -> int:
-    """Number of nodes of phi's tree, counted in one walk of its DAG."""
-    count: dict[int, int] = {}  # keyed by id: phi holds every node
+    """Number of nodes of phi's tree, counted in one walk of its DAG, in
+    which each distinct subformula is one node."""
+    count: dict[Formula, int] = {}
     stack = [phi]
     while stack:
         f = stack[-1]
-        todo = [c for c in f.children() if id(c) not in count]
+        todo = [c for c in f.children() if c not in count]
         stack += todo
         if not todo:
-            count[id(stack.pop())] = 1 + sum(count[id(c)] for c in f.children())
-    return count[id(phi)]
+            count[stack.pop()] = 1 + sum(count[c] for c in f.children())
+    return count[phi]
 
 
 def subformulas(phi: Formula, plus: bool = False, sig: Signature | None = None) -> frozenset[Formula]:
@@ -389,17 +383,11 @@ def validate_formula(phi: Formula, sig: Signature) -> None:
 def conj_term(positive: Iterable[str], over: Iterable[str], sig: Signature) -> Formula:
     """Conjunction asserting each atom of `positive` and denying the rest of
     `over`, in signature order; empty `over` yields truth."""
-    pos = frozenset(positive)
-    ov = frozenset(over)
+    pos, ov = frozenset(positive), frozenset(over)
     if not pos <= ov:
         raise ValueError("positive atoms must be a subset of the atoms described")
-    for a in ov:
-        sig.atom_index(a)
-    lits: list[Formula] = []
-    for a in sig.atoms:
-        if a in ov:
-            lits.append(Atom(a) if a in pos else Not(Atom(a)))
-    return big_and(lits)
+    require_declared(ov, (), sig)
+    return Term(pos, ov - pos).as_formula(sig)
 
 
 def _cp_expansion_nodes(n: int) -> int:
@@ -426,8 +414,7 @@ def expand_cp(xatoms: Iterable[str], phi: Formula, sig: Signature) -> Formula:
     the expanded position; it is exponential in |X|.
     """
     xset = frozenset(xatoms)
-    for a in xset:
-        sig.atom_index(a)
+    require_declared(xset, (), sig)
     xs = tuple(a for a in sig.atoms if a in xset)
     return _expand_cp_ordered(xs, phi)
 

@@ -266,6 +266,23 @@ def test_a_large_index_set_is_refused_before_it_is_built():
     assert cpu < 1.0
 
 
+def test_an_index_set_whose_size_is_too_long_to_print_is_resource_out(capsys, tmp_path):
+    # the expansion's size has over 4,300 digits, which Python refuses to print
+    atoms = ",".join(f"a{i}" for i in range(15_000))
+    code, out, err = run(
+        capsys, "sat", "--mode", "finite", "--atoms", atoms, "--vals", "0,1",
+        "-f", f"[{atoms}] a0", "-o", str(tmp_path / "w.plc"),
+    )
+    assert (code, out.strip(), err) == (3, "RESOURCE-OUT", "")
+
+
+@pytest.mark.parametrize("flag", ["--count", "--depth"])
+def test_a_negative_count_or_depth_is_a_usage_error(capsys, flag):
+    code, out, err = run(capsys, "axioms", "--atoms", "p", "--vals", "0,1", flag, "-3")
+    assert code == 1 and out == ""
+    assert f"error: argument {flag}: must not be negative: -3" in err
+
+
 def test_a_reduction_whose_tree_is_too_large_is_not_printed():
     # each update copies the 1,024-atom announcement at every non-conjunction
     # node of its scope: a DAG of a few thousand nodes, a tree of about 2e9
@@ -286,6 +303,45 @@ def test_reports_are_byte_identical_across_runs(capsys, ex_file):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_reports_do_not_depend_on_addresses_or_the_hash_seed(tmp_path, ex_file):
+    # formula nodes hash by identity, so sets of them iterate in an order
+    # set by memory addresses: fresh processes under other hash seeds must
+    # still print the same reports and write the same witness files
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import plc
+
+    formula = "diaI (p & =1) & diaF (q & =0) & [p] diaI ~q & boxF diaI =1"
+    commands = [
+        ["sat", "--mode", mode, "--atoms", "p,q,r", "--vals", "0,1", "-f", formula, "-o", f"{mode}.plc"]
+        for mode in ("finite", "open")
+    ] + [
+        ["reduce", "--atoms", "p,q", "--vals", "0,1", "-f", "[!(p -> =1)][!diaF q] (boxF =1 & [q] diaI =0)"],
+        ["axioms", "--atoms", "p,q", "--vals", "0,1,2", "--seed", "5", "--count", "3"],
+        ["explain", "-m", ex_file, "--kind", "pimp"],
+    ]
+    src = str(Path(plc.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        work = tmp_path / f"seed{seed}"
+        work.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outputs = []
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "plc.cli", *argv], cwd=work, env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0 and done.stdout, done.stderr
+            outputs.append(done.stdout)
+        outputs += [(path.name, path.read_bytes()) for path in sorted(work.iterdir())]
+        runs.append(outputs)
+    assert [name for name, _ in runs[0][len(commands):]] == ["finite.plc", "open.plc"]
+    assert runs[0] == runs[1]
 
 
 def test_explain_resource_out(capsys, ex_file, monkeypatch):

@@ -320,6 +320,18 @@ def test_rewrites_of_a_doubled_formula_do_its_dag_work():
         assert not any(isinstance(f, (CP, Dyn)) for f in subformulas(out))
 
 
+def test_memo_lookups_on_equal_subtrees_built_apart_are_identity_tests():
+    import time
+
+    # two copies of f40 built apart are one object, so a memo lookup on the
+    # second does not walk the 2^40 copies of boxI p in its tree
+    a, b = (helpers.doubled(BoxI(Atom("p")), 40) for _ in range(2))
+    for rewrite, phi in ((cp_free, And(CP(("p",), a), CP(("p",), b))), (simplify, And(a, b))):
+        start = time.process_time()
+        rewrite(phi)
+        assert time.process_time() - start < 0.1
+
+
 def test_an_expansion_is_refused_before_it_is_built():
     import tracemalloc
 

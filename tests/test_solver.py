@@ -17,12 +17,14 @@ from plc import (
     Signature,
     SignatureError,
     Top,
+    atoms_of,
     axiom_instances,
     brute_force_sat,
     check_mdm,
     filtrate,
     parse_formula,
     random_formula,
+    render_formula,
     sat_finite,
     sat_open,
     subformulas,
@@ -254,6 +256,59 @@ def test_open_sat_implied_by_finite_sat():
         phi = random_formula(rng, SIG1, 3)
         if sat_finite(phi, SIG1) is not None:
             assert sat_open(phi, SIG1.values) is not None
+
+
+def test_second_opinions_from_the_logic_beyond_two_atoms():
+    # finite SAT over (p, q) implies finite SAT over (p, q, r), which implies
+    # open SAT; an open witness of n states implies finite SAT over the
+    # formula's atoms and ceil(log2 n) fresh ones, enough to tell them apart
+    sig = Signature(("p", "q"), ("0", "1", "2"))
+    wide = Signature(("p", "q", "r"), sig.values)
+    rng = random.Random(19)
+    corpus = [Not(phi) for _, phi in axiom_instances(sig, seed=7, count=4)]
+    corpus += [
+        And(random_formula(rng, sig, 3, allow_cp=True), random_formula(rng, sig, 3, allow_cp=True))
+        for _ in range(100)
+    ]
+    satisfied = 0
+    for phi in corpus:
+        narrow = sat_finite(phi, sig) is not None
+        finite = sat_finite(phi, wide) is not None
+        witness = sat_open(phi, sig.values)
+        assert narrow <= finite <= (witness is not None), render_formula(phi)
+        if witness is not None:
+            fresh = [f"x{i}" for i in range((len(witness.model.states) - 1).bit_length())]
+            spread = Signature(sorted(atoms_of(phi)) + fresh, sig.values)
+            assert sat_finite(phi, spread) is not None, render_formula(phi)
+        satisfied += narrow
+    assert 0 < satisfied < len(corpus)
+
+
+def _balanced_and(parts):
+    while len(parts) > 1:
+        parts = [And(*parts[i : i + 2]) if i + 1 < len(parts) else parts[i] for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def test_refusals_state_sizes_too_long_to_print_as_powers_of_two():
+    # over 15,000 atoms the sizes have more than 4,300 digits, which Python
+    # refuses to print: each refusal is still its own error, and short
+    from plc import ModelError, build_mcm
+    from plc.rewrite import cp_free
+
+    names = tuple(f"a{i}" for i in range(15_000))
+    sig = Signature(names, ("0", "1"))
+    phi = _balanced_and([Atom(a) for a in names])
+    refusals = [
+        (BudgetExceeded, lambda: sat_finite(phi, sig)),
+        (BudgetExceeded, lambda: sat_open(phi, sig.values)),
+        (BudgetExceeded, lambda: cp_free(CP(names, Atom("a0")))),
+        (ModelError, lambda: build_mcm(Signature(names[:14], sig.values), "all", constraints=["a0 | ~a0"])),
+    ]
+    for error, call in refusals:
+        with pytest.raises(error) as info:
+            call()
+        assert len(str(info.value)) < 200 and "2^" in str(info.value), str(info.value)
 
 
 def test_open_grid_search_matches_quasi_enumeration():

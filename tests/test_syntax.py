@@ -106,9 +106,9 @@ def test_each_node_class_declares_its_children():
                             for k in f._fields))
         assert mapped == rebuilt and mapped is not f
     assert CP(("q", "r"), p).map(swap.get).atoms == ("q", "r")
-    # a child that comes back equal but not identical rebuilds the node
+    # a child built anew is the live equal node, so nothing is rebuilt
     node = Not(p)
-    assert node.map(lambda g: Atom("p")) is not node
+    assert node.map(lambda g: Atom("p")) is node
 
 
 def test_structural_walks_agree_with_a_field_walker():
@@ -168,6 +168,14 @@ def test_undeclared_name_errors_do_not_depend_on_the_hash_seed():
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["unknown atom 'x'"] * 2
+
+
+def test_index_set_errors_name_the_least_undeclared_atom():
+    sig = Signature(("p",), ("0", "1"))
+    unknown = tuple("zyxwvutsrqonmlkjihgfedcba")
+    for build in (lambda: expand_cp(unknown, Atom("p"), sig), lambda: conj_term((), unknown, sig)):
+        with pytest.raises(SignatureError, match="^unknown atom 'a'$"):
+            build()
 
 
 def test_atoms_of():
@@ -355,7 +363,7 @@ def test_structural_equality_and_hash():
         return Dyn(Atom("p"), CP(("r", "q"), And(BoxI(Dec("1")), Not(Top()))))
 
     a, b = build(), build()
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and build() is build()
     assert len({a, b}) == 1
     assert BoxI(Atom("p")) != BoxF(Atom("p"))
     assert Atom("p") != Dec("p") and Not(Atom("p")) != Not(Atom("q"))
@@ -363,3 +371,45 @@ def test_structural_equality_and_hash():
     assert Signature(("p",), ("0", "1")) != Signature(("p",), ("1", "0"))
     assert Term(frozenset({"p"}), frozenset()) != Term(frozenset(), frozenset({"p"}))
     assert Atom("p") != "p" and Term(frozenset(), frozenset()) != Top()
+
+
+def _chain(n):
+    f = Atom("p")
+    for i in range(n):
+        f = Not(f) if i % 2 else BoxI(f)
+    return f
+
+
+def test_deep_formulas_built_apart_are_one_object():
+    import sys
+    import time
+
+    limit = sys.getrecursionlimit()
+    a, b = _chain(100_000), _chain(100_000)
+    start = time.perf_counter()
+    same = a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert time.perf_counter() - start < 1e-3
+    assert same and a is b and sys.getrecursionlimit() == limit
+
+
+def test_pickling_and_copying_return_the_live_node():
+    import copy
+    import pickle
+
+    phi = Dyn(Atom("p"), CP(("r", "q"), And(BoxI(Dec("1")), Not(Top()))))
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    assert copy.copy(phi) is phi and copy.deepcopy(phi) is phi
+
+
+def test_the_table_of_live_nodes_holds_no_dropped_formula():
+    import gc
+
+    from plc.syntax import _nodes
+
+    gc.collect()
+    before = len(_nodes)
+    phi = _chain(100_000)
+    assert len(_nodes) >= before + 100_000
+    del phi
+    gc.collect()
+    assert len(_nodes) == before
